@@ -32,26 +32,30 @@ def _dt_value(text: str):
     return value
 
 
-def _add_common_flags(sub, beta: bool):
+def _add_common_flags(sub, tv: bool):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="fixed fidelity weight (default 1.0)")
-    if not beta:
+    if not tv:
         group.add_argument("--delta", type=float, default=None,
                            help="known noise norm; drives adaptive lambda")
         sub.add_argument("--epsilon", type=float, default=1e-2,
                          help="flux regularizer (default 1e-2)")
         sub.add_argument("--p", type=float, default=0.5,
                          help="flux exponent >= 0.5 (default 0.5)")
+        sub.add_argument("--dt", type=_dt_value, default=None, metavar="DT|auto",
+                         help="time step; 'auto' picks a stable one (default)")
+        sub.add_argument("--tol", type=float, default=1e-6,
+                         help="relative update-rate tolerance (default 1e-6)")
     else:
         sub.add_argument("--beta", type=float, default=1e-6,
                          help="gradient regularizer (default 1e-6)")
-    sub.add_argument("--dt", type=_dt_value, default=None, metavar="DT|auto",
-                     help="time step; 'auto' picks a stable one (default)")
+        sub.add_argument("--tol", type=float, default=1e-6,
+                         help="stationarity tolerance: stop once the residual "
+                              "is at most 10*tol*lambda*||u - u0|| "
+                              "(default 1e-6)")
     sub.add_argument("--iters", type=int, default=200_000,
                      help="iteration cap (default 200000)")
-    sub.add_argument("--tol", type=float, default=1e-6,
-                     help="relative update-rate tolerance (default 1e-6)")
     sub.add_argument("--plot", type=Path, default=None,
                      help="write an SVG of noisy vs restored")
     sub.add_argument("--report", type=Path, default=None,
@@ -70,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     d1 = subs.add_parser("denoise1d", help="denoise a 1D CSV signal")
     d1.add_argument("--input", type=Path, required=True)
     d1.add_argument("--output", type=Path, default=None)
-    _add_common_flags(d1, beta=False)
+    _add_common_flags(d1, tv=False)
     d1.add_argument("--solver", choices=sorted(_SOLVERS), default="semi-implicit")
     d1.set_defaults(func=cmd_denoise1d)
 
     d2 = subs.add_parser("denoise2d", help="denoise a 2D PGM image")
     d2.add_argument("--input", type=Path, required=True)
     d2.add_argument("--output", type=Path, default=None)
-    _add_common_flags(d2, beta=False)
+    _add_common_flags(d2, tv=False)
     d2.add_argument("--solver", choices=["explicit"], default="explicit",
                     help="2D supports the explicit solver only")
     d2.add_argument("--warm-start", type=Path, default=None,
@@ -87,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     t1 = subs.add_parser("tv1d", help="TV-denoise a 1D CSV signal")
     t1.add_argument("--input", type=Path, required=True)
     t1.add_argument("--output", type=Path, default=None)
-    _add_common_flags(t1, beta=True)
+    _add_common_flags(t1, tv=True)
     t1.set_defaults(func=cmd_tv1d)
 
     t2 = subs.add_parser("tv2d", help="TV-denoise a 2D PGM image")
     t2.add_argument("--input", type=Path, required=True)
     t2.add_argument("--output", type=Path, default=None)
-    _add_common_flags(t2, beta=True)
+    _add_common_flags(t2, tv=True)
     t2.set_defaults(func=cmd_tv2d)
 
     ex = subs.add_parser("experiment", help="run a figure-reproduction experiment")
@@ -127,7 +131,6 @@ def _tv_params(args) -> TvParams:
     return TvParams(
         lam=1.0 if args.lam is None else args.lam,
         beta=args.beta,
-        dt=args.dt,
         max_iters=args.iters,
         tol=args.tol,
     )

@@ -88,11 +88,19 @@ class Field2D:
 class RunTrace:
     """Per-iteration diagnostics of an evolution run.
 
-    residual_history[k] is the update rate ||u_{k+1} - u_k|| / dt of step k,
-    fidelity_history[k] is ||u_{k+1} - u0||, lambda_history[k] the fidelity
-    weight used for step k, and energy_history[k] a discrete energy proxy
-    (monitored as a diagnostic only; the semi-discrete system is not an exact
-    gradient flow).
+    Nonlinear filter (time stepping): residual_history[k] is the update rate
+    ||u_{k+1} - u_k|| / dt of step k, fidelity_history[k] is ||u_{k+1} - u0||,
+    lambda_history[k] the fidelity weight used for step k, energy_history[k]
+    a discrete energy proxy (monitored as a diagnostic only; the
+    semi-discrete system is not an exact gradient flow), and dt_used the
+    last step size.
+
+    TV baseline (lagged diffusivity, no time step): entry k describes the
+    k-th iterate u_k that the stop rule checked, with u_0 the data and the
+    last entry the returned iterate.  residual_history[k] is the stationary
+    residual ||div(grad u_k / |grad u_k|_beta) - lam (u_k - u0)||,
+    fidelity_history[k] is ||u_k - u0||, energy_history[k] the regularized
+    ROF energy of u_k (a per-axis proxy in 2D), and dt_used is None.
     """
 
     iters_run: int
@@ -100,7 +108,7 @@ class RunTrace:
     fidelity_history: np.ndarray
     lambda_history: np.ndarray
     energy_history: np.ndarray
-    dt_used: float
+    dt_used: float | None
     converged: bool
     wall_seconds: float = field(compare=False, default=0.0)
 

@@ -7,8 +7,6 @@ the tuned parameters actually used, per-method metrics, and trace summaries.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -39,14 +37,6 @@ TV_2D = TvParams(lam=10.0, beta=1e-6, tol=1e-6, max_iters=400_000)
 NOISY_COLOR = "#d62728"
 RESTORED_COLOR = "#1f77b4"
 CLEAN_COLOR = "#333333"
-
-
-def max_workers() -> int:
-    """Parallelism cap from LAPDEN_THREADS (default 1 = sequential)."""
-    try:
-        return max(1, int(os.environ.get("LAPDEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def preserved_jump_count(values: np.ndarray, jump_nodes, height: float,
@@ -134,15 +124,6 @@ def _instance_2d(n: int, seed: int):
     return clean, noisy, delta
 
 
-def _run_both(nlap_run, tv_run):
-    if max_workers() >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f1 = pool.submit(nlap_run)
-            f2 = pool.submit(tv_run)
-            return f1.result(), f2.result()
-    return nlap_run(), tv_run()
-
-
 def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
     rows = []
     for tag, sampler in (("f", sample_f_sine), ("g", sample_g_jumps)):
@@ -173,13 +154,8 @@ def _run_1d_comparison(name: str, sampler, seed: int, n: int,
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_1D, target_delta=delta)
 
-    def run_nlap():
-        return denoise_1d(noisy, nlap_params)
-
-    def run_tv():
-        return tv_denoise_1d(noisy, TV_1D)
-
-    (u_nl, tr_nl), (u_tv, tr_tv) = _run_both(run_nlap, run_tv)
+    u_nl, tr_nl = denoise_1d(noisy, nlap_params)
+    u_tv, tr_tv = tv_denoise_1d(noisy, TV_1D)
 
     base = [outdir / f"{name}_clean_{seed}.csv", outdir / f"{name}_noisy_{seed}.csv"]
     write_csv_1d(base[0], clean)
@@ -227,13 +203,8 @@ def _run_fig5(seed: int, n: int, outdir: Path) -> list[dict]:
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_2D, target_delta=delta)
 
-    def run_nlap():
-        return denoise_2d(noisy, nlap_params)
-
-    def run_tv():
-        return tv_denoise_2d(noisy, TV_2D)
-
-    (u_nl, tr_nl), (u_tv, tr_tv) = _run_both(run_nlap, run_tv)
+    u_nl, tr_nl = denoise_2d(noisy, nlap_params)
+    u_tv, tr_tv = tv_denoise_2d(noisy, TV_2D)
 
     base = [outdir / f"fig5_clean_{seed}.pgm", outdir / f"fig5_noisy_{seed}.pgm"]
     _write_field_pgm(base[0], clean)

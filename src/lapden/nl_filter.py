@@ -186,7 +186,7 @@ class _Recorder:
         self.lambdas.append(lam)
         self.energies.append(energy)
 
-    def finish(self, dt: float, converged: bool) -> RunTrace:
+    def finish(self, dt: float | None, converged: bool) -> RunTrace:
         return RunTrace(
             iters_run=len(self.residuals),
             residual_history=np.array(self.residuals),

@@ -111,6 +111,28 @@ class TestTv1D:
         code = main(["tv1d", "--input", str(noisy_path), "--delta", "0.5"])
         assert code == 2
 
+    def test_dt_flag_rejected(self, sine_files):
+        _, noisy_path = sine_files
+        code = main(["tv1d", "--input", str(noisy_path), "--dt", "0.1"])
+        assert code == 2
+
+    def test_zero_lambda_rejected(self, sine_files, capsys):
+        _, noisy_path = sine_files
+        code = main(["tv1d", "--input", str(noisy_path), "--lambda", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lam" in err and "fidelity weight must be positive" in err
+
+    def test_report_has_no_time_step(self, constant_csv, tmp_path):
+        report = tmp_path / "tv.jsonl"
+        code = main(["tv1d", "--input", str(constant_csv),
+                     "--report", str(report)])
+        assert code == 0
+        row = json.loads(report.read_text())
+        assert row["trace_summary"]["dt_used"] is None
+        assert row["trace_summary"]["iters"] == 1
+        assert "dt" not in row["params"]
+
 
 class TestDenoise2D:
     def test_constant_image_fixed_point(self, tmp_path):
@@ -205,20 +227,6 @@ class TestExperiment:
         assert {row["method"] for row in rows} == {"nlap", "tv"}
         assert (tmp_path / "fig5_nlap_5.pgm").exists()
         assert (tmp_path / "fig5_tv_5.pgm").exists()
-
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        seq_dir = tmp_path / "seq"
-        par_dir = tmp_path / "par"
-        monkeypatch.setenv("LAPDEN_THREADS", "1")
-        assert main(["experiment", "fig2", "--seed", "8", "--n", "40",
-                     "--outdir", str(seq_dir)]) == 0
-        monkeypatch.setenv("LAPDEN_THREADS", "2")
-        assert main(["experiment", "fig2", "--seed", "8", "--n", "40",
-                     "--outdir", str(par_dir)]) == 0
-        for path in sorted(seq_dir.iterdir()):
-            if "report" in path.name:
-                continue
-            assert path.read_bytes() == (par_dir / path.name).read_bytes()
 
 
 def test_help_exits_zero():

@@ -8,12 +8,20 @@ from lapden import (
     TvParams,
     add_noise,
     gaussian_noise,
+    sample_f2d,
     sample_f_sine,
+    sample_g_jumps,
     tv_denoise_1d,
     tv_denoise_2d,
     tv_rhs_1d,
     tv_rhs_2d,
 )
+from lapden.experiments import TV_1D, TV_2D
+
+
+def fig_input_1d(sampler, seed):
+    """The noisy signal of fig2 (sine) or fig3 (jumps) at n=100."""
+    return add_noise(sampler(100), NoiseSpec(seed=seed, delta_rel=0.09))
 
 
 def dense_tv_rhs_1d(values, u0, h, beta, lam):
@@ -150,6 +158,11 @@ class TestTvDenoise1D:
         mirrored, _ = tv_denoise_1d(base.with_values(base.values[::-1]), params)
         assert np.allclose(mirrored.values[::-1], plain.values, rtol=0, atol=1e-12)
 
+    def test_zero_lambda_rejected(self):
+        u0 = Signal1D(np.linspace(0.0, 1.0, 20))
+        with pytest.raises(ValueError, match="lam.*fidelity weight must be positive"):
+            tv_denoise_1d(u0, TvParams(lam=0.0))
+
     def test_stationary_residual_on_convergence(self):
         clean = sample_f_sine(60)
         noisy = add_noise(clean, NoiseSpec(seed=26, delta_rel=0.05))
@@ -184,6 +197,11 @@ class TestTvDenoise2D:
         neg, _ = tv_denoise_2d(f.with_values(-f.values), params)
         assert np.array_equal(neg.values, -pos.values)
 
+    def test_zero_lambda_rejected(self):
+        f = Field2D(np.add.outer(np.arange(4.0), np.arange(5.0)))
+        with pytest.raises(ValueError, match="lam.*fidelity weight must be positive"):
+            tv_denoise_2d(f, TvParams(lam=0.0))
+
     def test_small_field_rejected(self):
         with pytest.raises(ValueError):
             tv_denoise_2d(Field2D(np.ones((2, 3))), TvParams())
@@ -194,6 +212,40 @@ class TestTvParamsValidation:
         with pytest.raises(ValueError):
             TvParams(beta=0.0)
 
-    def test_dt_positive(self):
-        with pytest.raises(ValueError):
-            TvParams(dt=-0.1)
+
+class TestLaggedDiffusivity:
+    @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
+                             ids=["fig2", "fig3"])
+    def test_energy_never_increases(self, sampler):
+        for seed in range(10):
+            _, trace = tv_denoise_1d(fig_input_1d(sampler, seed), TV_1D)
+            assert trace.converged
+            assert np.all(np.diff(trace.energy_history) <= 0.0), seed
+
+    @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
+                             ids=["fig2", "fig3"])
+    def test_1d_iteration_count(self, sampler):
+        _, trace = tv_denoise_1d(fig_input_1d(sampler, 42), TV_1D)
+        assert trace.converged
+        assert trace.iters_run < 1_000
+
+    def test_2d_iteration_count(self):
+        noisy = add_noise(sample_f2d(64), NoiseSpec(seed=42, delta_rel=0.05))
+        _, trace = tv_denoise_2d(noisy, TV_2D)
+        assert trace.converged
+        assert trace.iters_run < 500
+
+    def test_histories_describe_the_checked_iterates(self):
+        noisy = fig_input_1d(sample_g_jumps, 3)
+        params = TvParams(lam=3.0, max_iters=5, tol=1e-300)
+        restored, trace = tv_denoise_1d(noisy, params)
+        assert not trace.converged
+        assert trace.iters_run == 5
+        assert trace.dt_used is None
+        assert trace.residual_history[0] == np.linalg.norm(
+            tv_rhs_1d(noisy, noisy, params))
+        assert trace.fidelity_history[0] == 0.0
+        assert trace.residual_history[-1] == np.linalg.norm(
+            tv_rhs_1d(restored, noisy, params))
+        assert trace.fidelity_history[-1] == np.linalg.norm(
+            restored.values - noisy.values)
