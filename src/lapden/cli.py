@@ -44,9 +44,13 @@ def _add_common_flags(sub, tv: bool):
         sub.add_argument("--p", type=float, default=0.5,
                          help="flux exponent >= 0.5 (default 0.5)")
         sub.add_argument("--dt", type=_dt_value, default=None, metavar="DT|auto",
-                         help="time step; 'auto' picks a stable one (default)")
+                         help="time step; 'auto' (default) picks a stable one, "
+                              "except that denoise2d then runs lagged "
+                              "diffusivity unless --lambda is 0")
         sub.add_argument("--tol", type=float, default=1e-6,
-                         help="relative update-rate tolerance (default 1e-6)")
+                         help="relative update-rate tolerance, or the "
+                              "stationarity tolerance of lagged diffusivity, "
+                              "as for tv2d (default 1e-6)")
     else:
         sub.add_argument("--beta", type=float, default=1e-6,
                          help="gradient regularizer (default 1e-6)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,10 +12,24 @@ class DivergenceError(ArithmeticError):
     """Raised when an evolution produces non-finite values."""
 
 
+def require_finite(params, *names: str) -> None:
+    """Reject a parameter set whose named float fields are nan or +-inf
+    (None, for an unset optional field, passes)."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _as_float_array(values, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise ValueError(f"samples must be finite, got {arr[index]} at index "
+                         f"{index[0] if ndim == 1 else index}")
     return arr
 
 
@@ -38,7 +53,7 @@ class Signal1D:
         object.__setattr__(self, "values", _as_float_array(self.values, 1))
         if self.values.size < 2:
             raise ValueError("Signal1D needs at least 2 samples")
-        if not self.h > 0:
+        if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing must be positive, got {self.h}")
         if self.domain is None:
             object.__setattr__(self, "domain", (-self.h, self.values.size * self.h))
@@ -69,7 +84,7 @@ class Field2D:
         object.__setattr__(self, "values", _as_float_array(self.values, 2))
         if self.values.size < 1:
             raise ValueError("Field2D must not be empty")
-        if not self.h > 0:
+        if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing must be positive, got {self.h}")
 
     @property
@@ -95,12 +110,17 @@ class RunTrace:
     semi-discrete system is not an exact gradient flow), and dt_used the
     last step size.
 
-    TV baseline (lagged diffusivity, no time step): entry k describes the
-    k-th iterate u_k that the stop rule checked, with u_0 the data and the
-    last entry the returned iterate.  residual_history[k] is the stationary
-    residual ||div(grad u_k / |grad u_k|_beta) - lam (u_k - u0)||,
-    fidelity_history[k] is ||u_k - u0||, energy_history[k] the regularized
-    ROF energy of u_k (a per-axis proxy in 2D), and dt_used is None.
+    Lagged diffusivity (TV baseline, and the nonlinear filter in 2D when
+    dt is unset and lam > 0 or target_delta is set; no time step): entry k
+    describes the k-th iterate u_k that the stop rule checked, with u_0 the
+    starting state (the data, or the warm start) and the last entry the
+    returned iterate and the lam it was certified with.  residual_history[k] is the stationary
+    residual ||r(u_k)|| (TV: r = div(grad u / |grad u|_beta) - lam (u - u0);
+    nonlinear filter: r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k]
+    is ||u_k - u0||, lambda_history[k] the lam of that check (re-estimated
+    from u_k in adaptive mode), energy_history[k] the regularized ROF energy
+    of u_k (a per-axis proxy in 2D) or the nonlinear filter's energy proxy,
+    and dt_used is None.
     """
 
     iters_run: int

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,11 +62,14 @@ def read_csv_1d(path) -> Signal1D:
                         ) from err
             continue
         try:
-            values.append(float(stripped))
+            value = float(stripped)
         except ValueError as err:
             raise CsvParseError(
                 f"line {lineno}: not a decimal literal: {stripped!r}"
             ) from err
+        if not math.isfinite(value):
+            raise CsvParseError(f"line {lineno}: non-finite sample {stripped!r}")
+        values.append(value)
     if not values:
         raise EmptyInputError(f"{path}: no data lines")
     if grid is None:

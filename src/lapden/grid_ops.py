@@ -195,18 +195,22 @@ def laplacian_2d_values(values: np.ndarray, h: float, kind: Stencil2DKind) -> np
     """Array-level five-point Laplacian; see :func:`laplacian_2d`."""
     if values.ndim != 2 or values.shape[0] < 3 or values.shape[1] < 3:
         raise ValueError(f"need a grid of at least 3x3 nodes, got {values.shape}")
+    # ghost ring by slicing; the stencil never reads the four corners
+    padded = np.zeros((values.shape[0] + 2, values.shape[1] + 2))
     if kind is Stencil2DKind.NEUMANN_MIRROR:
-        padded = np.pad(values, 1, mode="reflect")
+        padded[1:-1, 1:-1] = values
+        padded[0, 1:-1] = values[1]
+        padded[-1, 1:-1] = values[-2]
+        padded[1:-1, 0] = values[:, 1]
+        padded[1:-1, -1] = values[:, -2]
     elif kind is Stencil2DKind.DIRICHLET_ZERO:
-        padded = np.zeros((values.shape[0] + 2, values.shape[1] + 2))
         # the operand vanishes on the boundary ring as well as outside
         padded[2:-2, 2:-2] = values[1:-1, 1:-1]
     else:
         raise ValueError(f"unknown stencil kind: {kind!r}")
-    core = padded[1:-1, 1:-1]
-    lap = (
-        padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
-        - 4.0 * core
-    )
+    lap = padded[:-2, 1:-1] + padded[2:, 1:-1]
+    lap += padded[1:-1, :-2]
+    lap += padded[1:-1, 2:]
+    lap -= 4.0 * padded[1:-1, 1:-1]
     lap /= h * h
     return lap

@@ -4,6 +4,18 @@ Evolves du/dt = -D1 F(u) - lambda (u - u0) in 1D (and the double-Laplacian
 analogue in 2D) to its equilibrium, which solves the fourth-order stationary
 filter equation.  F saturates large curvature, so discontinuities survive
 while oscillatory noise is diffused away.
+
+In 2D, unless a fixed time step or lambda = 0 asks for explicit Euler, the
+equilibrium is reached without time stepping, by the lagged-diffusivity
+fixed point of Vogel & Oman, "Iterative methods for total
+variation denoising", SIAM J. Sci. Comput. 17 (1996): writing
+F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer step freezes g at
+w = L_N u and takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I and r
+the stationary residual.  A is non-symmetric (the mirror and zero-boundary
+Laplacians differ), so A^-1 r is approximated by one cycle of
+right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986), matrix-free, with the fast-transform preconditioner
+max(g) (L_row + L_col)^2 + lambda I.
 """
 
 from __future__ import annotations
@@ -13,8 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
-from .core import DivergenceError, Field2D, RunTrace, Signal1D
+from .core import DivergenceError, Field2D, RunTrace, Signal1D, require_finite
 from .grid_ops import (
     BandedMatrix,
     Stencil2DKind,
@@ -29,11 +42,13 @@ from .grid_ops import (
 _LAMBDA_INIT = 1.0  # first-step fidelity weight before the adaptive estimate kicks in
 _SAFETY = 0.9
 _DELTA_FLOOR = 1e-30
+_GMRES_RTOL = 1e-2  # inner solve: relative residual of one GMRES cycle
+_GMRES_VECTORS = 50  # inner solve: Krylov vectors of that cycle
 
 
 class Solver(Enum):
     EXPLICIT_EULER = "explicit-euler"
-    SEMI_IMPLICIT = "semi-implicit"
+    SEMI_IMPLICIT = "semi-implicit"  # 1D only
 
 
 @dataclass(frozen=True)
@@ -42,8 +57,13 @@ class FilterParams:
 
     lam is the fidelity weight; when target_delta (the known noise norm, in
     the plain sample 2-norm) is set it takes over and lam is re-estimated
-    every step.  dt=None picks an automatic step size.  tol bounds the
-    relative update rate ||u_{n+1} - u_n|| / (dt ||u0||) at convergence.
+    every step.  dt=None picks an automatic step size.  For time stepping
+    tol bounds the relative update rate ||u_{n+1} - u_n|| / (dt ||u0||) at
+    which the stationary equation is checked.  In 2D, dt=None with lam > 0
+    or target_delta set selects lagged diffusivity instead (see denoise_2d),
+    and tol is its stationarity bound, as for the TV baseline: a run
+    converges once the stationary residual r satisfies
+    ||r|| <= 10 tol lam ||u - u0||.  All float knobs must be finite.
     """
 
     lam: float = 1.0
@@ -56,6 +76,7 @@ class FilterParams:
     solver: Solver = Solver.EXPLICIT_EULER
 
     def __post_init__(self):
+        require_finite(self, "lam", "epsilon", "p", "dt", "tol", "target_delta")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.p < 0.5:
@@ -153,9 +174,14 @@ def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
         diffusion = _diffusion_1d(u.values, d0, d1, params.epsilon, params.p)
     else:
         diffusion = _diffusion_2d(u.values, u.h, params.epsilon, params.p)
-    num = -float(np.sum((u.values - u0.values) * diffusion))
-    lam = num / max(params.target_delta**2, _DELTA_FLOOR)
-    return max(lam, 0.0)
+    return _lambda_estimate(u.values - u0.values, diffusion, params.target_delta)
+
+
+def _lambda_estimate(du: np.ndarray, diffusion: np.ndarray,
+                     target_delta: float) -> float:
+    # -<u - u0, diffusion> / delta^2, clipped at zero; see adaptive_lambda
+    est = -float(np.sum(du * diffusion)) / max(target_delta**2, _DELTA_FLOOR)
+    return max(est, 0.0)
 
 
 def _semi_implicit_matrix(penta: BandedMatrix, dt: float, c: float,
@@ -242,9 +268,7 @@ def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
             fu = flux(d0u, params.epsilon, params.p)
             diffusion = apply_banded(d1, fu)
             if adaptive and it > 1:
-                est = -float(np.sum((u - u0v) * diffusion)) \
-                    / max(params.target_delta**2, _DELTA_FLOOR)
-                lam = max(est, 0.0)
+                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
 
             if params.solver is Solver.SEMI_IMPLICIT:
                 if params.dt is None:
@@ -285,11 +309,15 @@ def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
 
 def denoise_2d(u0: Field2D, params: FilterParams,
                warm_start: Field2D | None = None) -> tuple[Field2D, RunTrace]:
-    """2D analogue of denoise_1d; explicit Euler only.
+    """2D analogue of denoise_1d.
 
-    The 2D five-point operators have twice the 1D norm, so the explicit step
-    uses a quarter of the 1D stability bound.  warm_start, when given, seeds
-    the evolution in place of u0.
+    With dt unset and lam > 0 (or target_delta set) the equilibrium is found
+    by lagged diffusivity (see the module docstring), whose trace follows the
+    TV baseline's convention (see RunTrace).  A fixed dt, or lam = 0, where
+    the lagged system is singular, takes explicit Euler steps instead; the
+    2D five-point operators have twice the 1D norm, so the automatic step is
+    a quarter of the 1D stability bound.  warm_start, when given, seeds the
+    iteration in place of u0.
     """
     if params.solver is not Solver.EXPLICIT_EULER:
         raise ValueError("2D denoising supports the explicit-Euler solver only")
@@ -299,13 +327,20 @@ def denoise_2d(u0: Field2D, params: FilterParams,
         warm_start.values.shape != u0.values.shape or warm_start.h != u0.h
     ):
         raise ValueError("warm start grid does not match the data grid")
+    start = (warm_start if warm_start is not None else u0).values.copy()
+    if params.dt is None and (params.target_delta is not None or params.lam > 0):
+        values, trace = _lagged_2d(u0.values, start, u0.h, params)
+    else:
+        values, trace = _explicit_2d(u0.values, start, u0.h, params)
+    return u0.with_values(values), trace
 
-    h = u0.h
-    u0v = u0.values
+
+def _explicit_2d(u0v: np.ndarray, u: np.ndarray, h: float,
+                 params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Explicit Euler from u to the 2D equilibrium of the data u0v."""
     norm_u0 = float(np.linalg.norm(u0v))
     adaptive = params.target_delta is not None
     lam = _LAMBDA_INIT if adaptive else params.lam
-    u = (warm_start.values if warm_start is not None else u0v).copy()
     rec = _Recorder()
     converged = False
     dt = params.dt or 0.0
@@ -316,9 +351,7 @@ def denoise_2d(u0: Field2D, params: FilterParams,
             fu = flux(inner, params.epsilon, params.p)
             diffusion = laplacian_2d_values(fu, h, Stencil2DKind.DIRICHLET_ZERO)
             if adaptive and it > 1:
-                est = -float(np.sum((u - u0v) * diffusion)) \
-                    / max(params.target_delta**2, _DELTA_FLOOR)
-                lam = max(est, 0.0)
+                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
             if params.dt is None:
                 dt = _SAFETY * stable_step_bound(h, params.epsilon, params.p, lam) / 4.0
             else:
@@ -343,4 +376,107 @@ def denoise_2d(u0: Field2D, params: FilterParams,
                     converged = True
                     break
 
-    return u0.with_values(u), rec.finish(dt, converged)
+    return u, rec.finish(dt, converged)
+
+
+def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (the DCT-II basis) of the
+    tridiagonal build_d0 matrix."""
+    bands = dict(build_d0(n, h).bands)
+    return scipy.linalg.eigh_tridiagonal(bands[0], bands[1])
+
+
+def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
+    """One cycle of right-preconditioned GMRES for A x = b from x = 0.
+
+    Builds an orthonormal Krylov basis of A P^-1 (classical Gram-Schmidt,
+    applied twice) and stops once the least-squares residual is at most
+    _GMRES_RTOL ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.
+    """
+    beta = float(np.linalg.norm(b))
+    m = _GMRES_VECTORS
+    basis = np.empty((m + 1, b.size))
+    basis[0] = b / beta
+    hess = np.zeros((m + 1, m))  # turned into R by the Givens rotations
+    rotations = np.zeros((m, 2))
+    rhs = np.zeros(m + 1)
+    rhs[0] = beta
+    size = 0
+    for j in range(m):
+        w = matvec(precond(basis[j]))
+        for _ in range(2):
+            coef = basis[: j + 1] @ w
+            w -= coef @ basis[: j + 1]
+            hess[: j + 1, j] += coef
+        h_next = float(np.linalg.norm(w))
+        col = hess[:, j]
+        for i in range(j):
+            c, s = rotations[i]
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        radius = float(np.hypot(col[j], h_next))
+        if radius == 0.0:  # A P^-1 is singular on the Krylov space
+            break
+        c, s = col[j] / radius, h_next / radius
+        rotations[j] = c, s
+        col[j] = radius
+        rhs[j + 1] = -s * rhs[j]
+        rhs[j] *= c
+        size = j + 1
+        if abs(rhs[j + 1]) <= _GMRES_RTOL * beta or h_next == 0.0:
+            break
+        basis[j + 1] = w / h_next
+    y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
+                                      check_finite=False)
+    return precond(y @ basis[:size])
+
+
+def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
+               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Lagged diffusivity from u to the 2D equilibrium of the data u0v."""
+    adaptive = params.target_delta is not None
+    lam = _LAMBDA_INIT if adaptive else params.lam
+    shape = u.shape
+    norm_u0 = float(np.linalg.norm(u0v))
+    (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
+    squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
+    rec = _Recorder()
+    converged = False
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, params.max_iters + 1):
+            # F(w) through flux, so that r is bit for bit rhs_2d's residual
+            w = laplacian_2d_values(u, h, Stencil2DKind.NEUMANN_MIRROR)
+            fw = flux(w, params.epsilon, params.p)
+            diffusion = laplacian_2d_values(fw, h, Stencil2DKind.DIRICHLET_ZERO)
+            if adaptive and it > 1:
+                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
+            r = -diffusion - lam * (u - u0v)
+            stat = float(np.linalg.norm(r))
+            if not np.isfinite(stat):
+                raise DivergenceError(f"non-finite values at iteration {it}")
+            fid = float(np.linalg.norm(u - u0v))
+            energy = _flux_potential(w, params.epsilon, params.p) * h * h \
+                + 0.5 * lam * fid * fid * h * h
+            rec.record(stat, fid, lam, energy)
+            converged = _stationary_ok(stat, lam, fid, params.tol, norm_u0)
+            if converged or it == params.max_iters:
+                break
+
+            g = (w * w + params.epsilon) ** -params.p  # F(w) = g w
+            # a zero lam estimate would leave the constant mode without a
+            # pivot; the preconditioner then stands in the initial weight
+            pivots = float(g.max()) * squared + (lam if lam > 0 else _LAMBDA_INIT)
+
+            def precond(x):
+                x = q_r.T @ x.reshape(shape) @ q_c
+                return (q_r @ (x / pivots) @ q_c.T).ravel()
+
+            def matvec(x):
+                x = x.reshape(shape)
+                inner = laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
+                outer = laplacian_2d_values(g * inner, h, Stencil2DKind.DIRICHLET_ZERO)
+                return (outer + lam * x).ravel()
+
+            u = u + _gmres(matvec, precond, r.ravel()).reshape(shape)
+
+    return u, rec.finish(None, converged)

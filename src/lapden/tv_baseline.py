@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DivergenceError, Field2D, RunTrace, Signal1D
+from .core import DivergenceError, Field2D, RunTrace, Signal1D, require_finite
 from .nl_filter import _Recorder, _stationary_ok
 
 
@@ -37,7 +37,7 @@ class TvParams:
     iteration cap, and the stationarity tolerance of the stop rule.
 
     lam = 0 is a valid parameter set for evaluating tv_rhs_1d/tv_rhs_2d, but
-    the denoisers need lam > 0.
+    the denoisers need lam > 0.  All float knobs must be finite.
     """
 
     lam: float = 1.0
@@ -46,6 +46,7 @@ class TvParams:
     tol: float = 1e-6
 
     def __post_init__(self):
+        require_finite(self, "lam", "beta", "tol")
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.lam < 0:

@@ -88,6 +88,20 @@ class TestDenoise1D:
         code = main(["denoise1d", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--lambda", "nan"],
+                                       ["--delta", "inf"], ["--tol", "nan"]])
+    def test_non_finite_parameter_rejected(self, constant_csv, flags, capsys):
+        code = main(["denoise1d", "--input", str(constant_csv)] + flags)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_sample_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0\n2.0\nnan\n1.5\n")
+        code = main(["denoise1d", "--input", str(path)])
+        assert code == 2
+        assert "line 3: non-finite sample" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, sine_files, tmp_path):
         _, noisy_path = sine_files
         code = main(["denoise1d", "--input", str(noisy_path),
@@ -123,6 +137,19 @@ class TestTv1D:
         err = capsys.readouterr().err
         assert "lam" in err and "fidelity weight must be positive" in err
 
+    @pytest.mark.parametrize("flags", [["--beta", "inf"], ["--lambda", "nan"]])
+    def test_non_finite_parameter_rejected(self, constant_csv, flags, capsys):
+        code = main(["tv1d", "--input", str(constant_csv)] + flags)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_sample_rejected(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("1.0\ninf\n1.5\n")
+        code = main(["tv1d", "--input", str(path)])
+        assert code == 2
+        assert "line 2: non-finite sample" in capsys.readouterr().err
+
     def test_report_has_no_time_step(self, constant_csv, tmp_path):
         report = tmp_path / "tv.jsonl"
         code = main(["tv1d", "--input", str(constant_csv),
@@ -155,6 +182,20 @@ class TestDenoise2D:
         code = main(["denoise2d", "--input", str(src),
                      "--solver", "semi-implicit"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, lagged", [
+        ([], True), (["--delta", "0.1"], True), (["--dt", "auto"], True),
+        (["--lambda", "0"], False), (["--dt", "0.01"], False)])
+    def test_lagged_unless_zero_lambda_or_fixed_step(self, tmp_path, flags,
+                                                     lagged):
+        src = tmp_path / "grey.pgm"
+        write_pgm(src, Field2D(np.full((8, 8), 0.5)))
+        report = tmp_path / "report.jsonl"
+        code = main(["denoise2d", "--input", str(src), "--report", str(report)]
+                    + flags)
+        assert code == 0
+        row = json.loads(report.read_text())
+        assert (row["trace_summary"]["dt_used"] is None) == lagged
 
     def test_warm_start(self, tmp_path):
         rng = np.random.default_rng(51)

@@ -49,6 +49,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="line 2"):
             read_csv_1d(path)
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-Infinity"])
+    def test_non_finite_sample_cites_line(self, tmp_path, literal):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"# h=1.0 a=-1.0 b=3.0\n1\n{literal}\n3\n")
+        with pytest.raises(CsvParseError, match=f"line 3: non-finite sample"):
+            read_csv_1d(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

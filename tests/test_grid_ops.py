@@ -239,6 +239,28 @@ class TestLaplacian2D:
         with pytest.raises(ValueError):
             laplacian_2d(Field2D(np.ones((2, 5))), Stencil2DKind.NEUMANN_MIRROR)
 
+    @pytest.mark.parametrize("kind", list(Stencil2DKind))
+    def test_bit_identical_to_np_pad_formula(self, kind):
+        # the ghost ring built by np.pad, with the stencil summed in the
+        # same order: the sliced ghost cells must not change a single bit
+        def padded_formula(values, h):
+            if kind is Stencil2DKind.NEUMANN_MIRROR:
+                padded = np.pad(values, 1, mode="reflect")
+            else:
+                padded = np.zeros((values.shape[0] + 2, values.shape[1] + 2))
+                padded[2:-2, 2:-2] = values[1:-1, 1:-1]
+            lap = (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
+                   + padded[1:-1, 2:] - 4.0 * padded[1:-1, 1:-1])
+            lap /= h * h
+            return lap
+
+        rng = np.random.default_rng(21)
+        for shape in ((3, 3), (3, 8), (9, 4), (33, 32)):
+            for h in (1.0, 0.37):
+                u = rng.normal(scale=10.0, size=shape)
+                assert np.array_equal(laplacian_2d(Field2D(u, h), kind).values,
+                                      padded_formula(u, h))
+
 
 class TestBandedMatrixValidation:
     def test_band_length_checked(self):

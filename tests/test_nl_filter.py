@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import lapden.nl_filter as nl_filter
 from lapden import (
     DivergenceError,
     Field2D,
@@ -16,9 +19,11 @@ from lapden import (
     gaussian_noise,
     rhs_1d,
     rhs_2d,
+    sample_f2d,
     sample_f_sine,
     stable_step_bound,
 )
+from lapden.experiments import NLAP_2D
 
 from test_grid_ops import dense_d0, dense_d1
 
@@ -292,10 +297,103 @@ class TestDenoise2D:
             denoise_2d(f, FilterParams(), warm_start=Field2D(np.ones((4, 5))))
 
 
+def noisy_f2d(n: int, seed: int) -> tuple[Field2D, Field2D, float]:
+    clean = sample_f2d(n)
+    noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=0.05))
+    return clean, noisy, float(np.linalg.norm(noisy.values - clean.values))
+
+
+class TestLagged2D:
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_agrees_with_explicit_equilibrium(self, lam):
+        _, noisy, _ = noisy_f2d(32, seed=3)
+        params = FilterParams(lam=lam)
+        ue, te = nl_filter._explicit_2d(noisy.values, noisy.values.copy(),
+                                        noisy.h, params)
+        ul, tl = denoise_2d(noisy, params)
+        assert te.converged and tl.converged
+        assert te.dt_used is not None and tl.dt_used is None
+        assert np.abs(ul.values - ue).max() <= 1e-5
+
+    def test_fig5_converges_in_few_outer_steps(self):
+        clean, noisy, delta = noisy_f2d(64, seed=42)
+        params = replace(NLAP_2D, target_delta=delta)
+        restored, trace = denoise_2d(noisy, params)
+        assert trace.converged
+        assert trace.iters_run < 500
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert abs(fid - delta) <= 1e-4 * delta
+
+    def test_constant_fixed_point(self):
+        f = Field2D(np.full((7, 5), 0.3))
+        for params in (FilterParams(lam=1.0), FilterParams(target_delta=0.1)):
+            restored, trace = denoise_2d(f, params)
+            assert np.array_equal(restored.values, f.values)
+            assert trace.converged
+            assert trace.iters_run == 1
+            assert trace.dt_used is None
+
+    def test_negation_equivariance(self):
+        _, noisy, _ = noisy_f2d(16, seed=15)
+        params = FilterParams(lam=1.0, max_iters=5, tol=1e-300)
+        pos, _ = denoise_2d(noisy, params)
+        neg, _ = denoise_2d(noisy.with_values(-noisy.values), params)
+        assert np.array_equal(neg.values, -pos.values)
+
+    def test_history_semantics(self):
+        _, noisy, delta = noisy_f2d(24, seed=8)
+        params = FilterParams(target_delta=delta)
+        restored, trace = denoise_2d(noisy, params)
+        assert trace.converged
+        assert trace.dt_used is None
+        # entry 0 checks the data itself, the last entry the returned iterate
+        assert trace.fidelity_history[0] == 0.0
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert trace.fidelity_history[-1] == fid
+        lam = trace.lambda_history[-1]
+        stat = np.linalg.norm(rhs_2d(restored, noisy,
+                                     FilterParams(lam=lam, p=params.p,
+                                                  epsilon=params.epsilon)).values)
+        assert trace.residual_history[-1] == stat
+        assert trace.residual_history[-1] <= 10.0 * params.tol * lam * fid
+        assert np.all(trace.residual_history[:-1] > 10.0 * params.tol
+                      * trace.lambda_history[:-1] * trace.fidelity_history[:-1])
+
+    def test_zero_lambda_estimate_keeps_steps_bounded(self, monkeypatch):
+        # the preconditioner's constant mode has pivot lam; an estimate of 0
+        # must not blow that mode up (a round-off pivot shifts u by ~1e12)
+        monkeypatch.setattr(nl_filter, "_lambda_estimate", lambda *args: 0.0)
+        _, noisy, delta = noisy_f2d(16, seed=4)
+        params = FilterParams(target_delta=delta, max_iters=5)
+        restored, trace = denoise_2d(noisy, params)
+        assert trace.iters_run == 5
+        assert np.all(trace.lambda_history[1:] == 0.0)
+        assert np.abs(restored.values - noisy.values).max() \
+            <= np.abs(noisy.values).max()
+        assert np.all(np.diff(trace.residual_history) < 0.0)
+
+    @pytest.mark.parametrize("knobs", [dict(lam=0.0), dict(dt=1e-3)])
+    def test_zero_lambda_or_fixed_step_stays_explicit(self, knobs):
+        # lam = 0 leaves the lagged system singular; dt asks for time steps
+        f = Field2D(np.eye(5))
+        params = FilterParams(max_iters=3, tol=1e-300, **knobs)
+        restored, trace = denoise_2d(f, params)
+        expect, _ = nl_filter._explicit_2d(f.values, f.values.copy(), f.h, params)
+        assert np.array_equal(restored.values, expect)
+        assert trace.dt_used is not None
+
+
 class TestFilterParamsValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             FilterParams(epsilon=0.0)
+
+    @pytest.mark.parametrize("name", ["lam", "epsilon", "p", "dt", "tol",
+                                      "target_delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FilterParams(**{name: value})
 
     def test_p_at_least_half(self):
         with pytest.raises(ValueError):

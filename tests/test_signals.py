@@ -194,3 +194,20 @@ class TestDefaultPlateauTau:
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(seed=1, delta_rel=float("nan"))
+
+
+class TestSampleContainers:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_samples_rejected(self, bad):
+        values = np.ones(6)
+        values[4] = bad
+        with pytest.raises(ValueError, match="samples must be finite.*index 4"):
+            Signal1D(values)
+        with pytest.raises(ValueError, match=r"samples must be finite.*\(1, 1\)"):
+            Field2D(values.reshape(2, 3))
+
+    def test_infinite_spacing_rejected(self):
+        with pytest.raises(ValueError, match="grid spacing"):
+            Signal1D(np.ones(4), h=float("inf"))
+        with pytest.raises(ValueError, match="grid spacing"):
+            Field2D(np.ones((3, 3)), h=float("inf"))

@@ -212,6 +212,12 @@ class TestTvParamsValidation:
         with pytest.raises(ValueError):
             TvParams(beta=0.0)
 
+    @pytest.mark.parametrize("name", ["lam", "beta", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TvParams(**{name: value})
+
 
 class TestLaggedDiffusivity:
     @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
