@@ -15,7 +15,7 @@ from .core import DivergenceError
 from .data_io import PlotSpec, read_csv_1d, read_pgm, write_csv_1d, write_pgm, \
     write_svg_plot
 from .experiments import EXPERIMENT_NAMES, NOISY_COLOR, RESTORED_COLOR, \
-    run_experiment
+    params_dict, run_experiment, trace_summary
 from .nl_filter import FilterParams, Solver, denoise_1d, denoise_2d
 from .signals import compute_metrics, default_plateau_tau
 from .tv_baseline import TvParams, tv_denoise_1d, tv_denoise_2d
@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     d2.add_argument("--output", type=Path, default=None)
     _add_common_flags(d2, tv=False)
     d2.add_argument("--solver", choices=["explicit"], default="explicit",
-                    help="2D supports the explicit solver only")
+                    help="accepted for compatibility and has no effect: "
+                         "--dt and --lambda choose between lagged "
+                         "diffusivity and explicit Euler (see --dt)")
     d2.add_argument("--warm-start", type=Path, default=None,
                     help="PGM used as the initial state instead of the input")
     d2.set_defaults(func=cmd_denoise2d)
@@ -140,13 +142,6 @@ def _tv_params(args) -> TvParams:
     )
 
 
-def _params_json(params) -> dict:
-    d = asdict(params)
-    if "solver" in d:
-        d["solver"] = params.solver.value
-    return d
-
-
 def _emit(args, command: str, params, noisy, restored, trace,
           clean, artifacts) -> None:
     metrics_noisy = metrics_restored = None
@@ -157,15 +152,10 @@ def _emit(args, command: str, params, noisy, restored, trace,
     if args.report is not None:
         row = {
             "command": command,
-            "params": _params_json(params),
+            "params": params_dict(params),
             "metrics_noisy": metrics_noisy,
             "metrics_restored": metrics_restored,
-            "trace_summary": {
-                "iters": trace.iters_run,
-                "converged": trace.converged,
-                "dt_used": trace.dt_used,
-                "wall_seconds": trace.wall_seconds,
-            },
+            "trace_summary": trace_summary(trace),
             "artifact_paths": [str(p) for p in artifacts],
         }
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -187,8 +177,9 @@ def cmd_denoise1d(args) -> int:
 
 def cmd_tv1d(args) -> int:
     noisy = read_csv_1d(args.input)
-    restored, trace = tv_denoise_1d(noisy, _tv_params(args))
-    return _finish_1d(args, "tv1d", _tv_params(args), noisy, restored, trace)
+    params = _tv_params(args)
+    restored, trace = tv_denoise_1d(noisy, params)
+    return _finish_1d(args, "tv1d", params, noisy, restored, trace)
 
 
 def _finish_1d(args, command, params, noisy, restored, trace) -> int:

@@ -58,7 +58,8 @@ def preserved_jump_count(values: np.ndarray, jump_nodes, height: float,
     return count
 
 
-def _trace_summary(trace: RunTrace) -> dict:
+def trace_summary(trace: RunTrace) -> dict:
+    """The trace fields a JSON-lines report row records."""
     return {
         "iters": trace.iters_run,
         "converged": trace.converged,
@@ -67,11 +68,8 @@ def _trace_summary(trace: RunTrace) -> dict:
     }
 
 
-def _metrics_dict(m) -> dict:
-    return asdict(m)
-
-
-def _params_dict(params) -> dict:
+def params_dict(params) -> dict:
+    """A FilterParams or TvParams as a JSON-ready dict (the solver by value)."""
     d = asdict(params)
     if "solver" in d:
         d["solver"] = params.solver.value
@@ -86,10 +84,10 @@ def _report_row(name: str, method: str, seed: int, n: int, params,
         "method": method,
         "seed": seed,
         "n": n,
-        "params": _params_dict(params) if params is not None else {},
-        "metrics_noisy": _metrics_dict(metrics_noisy),
-        "metrics_restored": _metrics_dict(metrics_restored) if metrics_restored else None,
-        "trace_summary": _trace_summary(trace) if trace else None,
+        "params": params_dict(params) if params is not None else {},
+        "metrics_noisy": asdict(metrics_noisy),
+        "metrics_restored": asdict(metrics_restored) if metrics_restored else None,
+        "trace_summary": trace_summary(trace) if trace else None,
         "artifact_paths": [str(p) for p in artifacts],
     }
     if extra:

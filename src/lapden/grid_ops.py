@@ -35,13 +35,10 @@ class BandedMatrix:
 
     ``bands`` maps a diagonal offset k to the array of entries M[r, r+k];
     for k >= 0 entry m of the band is M[m, m+k], for k < 0 it is M[m+|k|, m].
-    ``spacing_scale`` records the grid factor (e.g. 1/h^2) already folded
-    into the band values.
     """
 
     n: int
     bands: tuple[tuple[int, np.ndarray], ...]
-    spacing_scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,15 +61,19 @@ class BandedMatrix:
         clean.sort(key=lambda kv: kv[0])
         object.__setattr__(self, "bands", tuple(clean))
 
-    def band(self, offset: int) -> np.ndarray | None:
-        for k, v in self.bands:
-            if k == offset:
-                return v
-        return None
 
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(k) for k, _ in self.bands), default=0)
+def _second_difference(n_interior: int, h: float, end: float) -> BandedMatrix:
+    # (1/h^2) * tridiag(1, -2, 1) with `end` as the first and last diagonal entry
+    if n_interior < 2:
+        raise ValueError(f"need at least 2 nodes, got {n_interior}")
+    if not h > 0:
+        raise ValueError(f"grid spacing must be positive, got {h}")
+    scale = 1.0 / (h * h)
+    diag = np.full(n_interior, -2.0)
+    diag[0] = diag[-1] = end
+    off = np.ones(n_interior - 1)
+    return BandedMatrix(
+        n_interior, ((-1, off * scale), (0, diag * scale), (1, off * scale)))
 
 
 def build_d0(n_interior: int, h: float) -> BandedMatrix:
@@ -82,19 +83,7 @@ def build_d0(n_interior: int, h: float) -> BandedMatrix:
     (..., 1, -1) from eliminating the ghost values u[-1] = u[0] and
     u[n] = u[n-1].  Symmetric; every row sums to zero.
     """
-    if n_interior < 2:
-        raise ValueError(f"need at least 2 nodes, got {n_interior}")
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    scale = 1.0 / (h * h)
-    diag = np.full(n_interior, -2.0)
-    diag[0] = diag[-1] = -1.0
-    off = np.ones(n_interior - 1)
-    return BandedMatrix(
-        n_interior,
-        ((-1, off * scale), (0, diag * scale), (1, off * scale)),
-        spacing_scale=scale,
-    )
+    return _second_difference(n_interior, h, -1.0)
 
 
 def build_d1(n_interior: int, h: float) -> BandedMatrix:
@@ -104,18 +93,7 @@ def build_d1(n_interior: int, h: float) -> BandedMatrix:
     diagonal because the neighbouring boundary values are zero.  Symmetric
     negative definite.
     """
-    if n_interior < 2:
-        raise ValueError(f"need at least 2 nodes, got {n_interior}")
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    scale = 1.0 / (h * h)
-    diag = np.full(n_interior, -2.0)
-    off = np.ones(n_interior - 1)
-    return BandedMatrix(
-        n_interior,
-        ((-1, off * scale), (0, diag * scale), (1, off * scale)),
-        spacing_scale=scale,
-    )
+    return _second_difference(n_interior, h, -2.0)
 
 
 def apply_banded(m: BandedMatrix, x: np.ndarray) -> np.ndarray:
@@ -155,7 +133,7 @@ def matmul_banded(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             m2 = slice(r_lo + min(k1, k), r_hi + 1 + min(k1, k))
             dest[m] += v1[m1] * v2[m2]
     bands = tuple((k, v) for k, v in sorted(out.items()))
-    return BandedMatrix(n, bands, spacing_scale=a.spacing_scale * b.spacing_scale)
+    return BandedMatrix(n, bands)
 
 
 def _to_lapack_banded(m: BandedMatrix) -> tuple[tuple[int, int], np.ndarray]:

@@ -16,18 +16,24 @@ Laplacians differ), so A^-1 r is approximated by one cycle of
 right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
 1986), matrix-free, with the fast-transform preconditioner
 max(g) (L_row + L_col)^2 + lambda I.
+
+Two loops drive every solve.  _time_steps runs the time-stepping solvers
+(1D explicit and semi-implicit Euler, 2D explicit Euler); they differ only
+in their step, which sets dt and forms u_{n+1}.  core._lagged runs lagged
+diffusivity, here with the 2D flux residual and the GMRES inner solve, and
+for the TV baseline with its own residual and banded solve.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from .core import DivergenceError, Field2D, RunTrace, Signal1D, require_finite
+from .core import DivergenceError, Field2D, RunTrace, Signal1D, _lagged, _Recorder, \
+    _stationary_ok, require_finite
 from .grid_ops import (
     BandedMatrix,
     Stencil2DKind,
@@ -196,46 +202,6 @@ def _semi_implicit_matrix(penta: BandedMatrix, dt: float, c: float,
     return BandedMatrix(penta.n, tuple(bands))
 
 
-class _Recorder:
-    """Accumulates per-step diagnostics and builds the RunTrace."""
-
-    def __init__(self):
-        self.residuals = []
-        self.fidelities = []
-        self.lambdas = []
-        self.energies = []
-        self.t0 = time.perf_counter()
-
-    def record(self, residual, fidelity, lam, energy):
-        self.residuals.append(residual)
-        self.fidelities.append(fidelity)
-        self.lambdas.append(lam)
-        self.energies.append(energy)
-
-    def finish(self, dt: float | None, converged: bool) -> RunTrace:
-        return RunTrace(
-            iters_run=len(self.residuals),
-            residual_history=np.array(self.residuals),
-            fidelity_history=np.array(self.fidelities),
-            lambda_history=np.array(self.lambdas),
-            energy_history=np.array(self.energies),
-            dt_used=dt,
-            converged=converged,
-            wall_seconds=time.perf_counter() - self.t0,
-        )
-
-
-def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
-                   norm_u0: float) -> bool:
-    # converged runs must certify the stationary equation, not just a small
-    # update rate; an anchor at round-off scale (exact equilibria, lam = 0)
-    # falls back to an absolute bound
-    anchor = lam * fid_dist
-    if anchor > 1e-13 * max(norm_u0, 1.0):
-        return stat_norm <= 10.0 * tol * anchor
-    return stat_norm <= tol * max(norm_u0, 1.0)
-
-
 def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
     """Evolve from u0 until the filter equation's equilibrium.
 
@@ -248,63 +214,25 @@ def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
     if m < 3:
         raise ValueError(f"need at least 3 samples, got {m}")
     h = u0.h
+    u0v = u0.values
     d0 = build_d0(m, h)
     d1 = build_d1(m, h)
-    c = params.epsilon ** (-params.p)
-    penta = matmul_banded(d1, d0) if params.solver is Solver.SEMI_IMPLICIT else None
+    if params.solver is Solver.SEMI_IMPLICIT:
+        c = params.epsilon ** (-params.p)
+        penta = matmul_banded(d1, d0)
 
-    adaptive = params.target_delta is not None
-    lam = _LAMBDA_INIT if adaptive else params.lam
-    u0v = u0.values
-    norm_u0 = float(np.linalg.norm(u0v))
-    u = u0v.copy()
-    rec = _Recorder()
-    converged = False
-    dt = params.dt or 0.0
+        def step(u, w, fw, diffusion, lam):
+            dt = params.dt or 64.0 * stable_step_bound(h, params.epsilon, params.p, lam)
+            matrix = _semi_implicit_matrix(penta, dt, c, lam)
+            b = u - dt * apply_banded(d1, fw - c * w) + dt * lam * u0v
+            return solve_banded(matrix, b), dt
+    else:
+        step = _explicit_step(u0v, h, params, _SAFETY)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, params.max_iters + 1):
-            d0u = apply_banded(d0, u)
-            fu = flux(d0u, params.epsilon, params.p)
-            diffusion = apply_banded(d1, fu)
-            if adaptive and it > 1:
-                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-
-            if params.solver is Solver.SEMI_IMPLICIT:
-                if params.dt is None:
-                    dt = 64.0 * stable_step_bound(h, params.epsilon, params.p, lam)
-                else:
-                    dt = params.dt
-                matrix = _semi_implicit_matrix(penta, dt, c, lam)
-                b = u - dt * apply_banded(d1, fu - c * d0u) + dt * lam * u0v
-                u_new = solve_banded(matrix, b)
-            else:
-                if params.dt is None:
-                    dt = _SAFETY * stable_step_bound(h, params.epsilon, params.p, lam)
-                else:
-                    dt = params.dt
-                u_new = u + dt * (-diffusion - lam * (u - u0v))
-
-            if not np.all(np.isfinite(u_new)):
-                raise DivergenceError(f"non-finite values at iteration {it}")
-
-            update = float(np.linalg.norm(u_new - u))
-            fid = float(np.linalg.norm(u_new - u0v))
-            energy = _flux_potential(d0u, params.epsilon, params.p) * h \
-                + 0.5 * lam * fid * fid * h
-            rec.record(update / dt, fid, lam, energy)
-            u = u_new
-
-            if update <= params.tol * dt * norm_u0:
-                stat = apply_banded(
-                    d1, flux(apply_banded(d0, u), params.epsilon, params.p)
-                ) + lam * (u - u0v)
-                if _stationary_ok(float(np.linalg.norm(stat)), lam, fid,
-                                  params.tol, norm_u0):
-                    converged = True
-                    break
-
-    return u0.with_values(u), rec.finish(dt, converged)
+    values, trace = _time_steps(u0v, u0v.copy(), h, params,
+                                lambda x: apply_banded(d0, x),
+                                lambda x: apply_banded(d1, x), step)
+    return u0.with_values(values), trace
 
 
 def denoise_2d(u0: Field2D, params: FilterParams,
@@ -338,43 +266,67 @@ def denoise_2d(u0: Field2D, params: FilterParams,
 def _explicit_2d(u0v: np.ndarray, u: np.ndarray, h: float,
                  params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Explicit Euler from u to the 2D equilibrium of the data u0v."""
-    norm_u0 = float(np.linalg.norm(u0v))
+    return _time_steps(
+        u0v, u, h, params,
+        lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
+        lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO),
+        _explicit_step(u0v, h, params, _SAFETY / 4.0))
+
+
+def _explicit_step(u0v: np.ndarray, h: float, params: FilterParams, safety: float):
+    """Explicit Euler step for _time_steps; the automatic dt is safety times
+    the stability bound."""
+    def step(u, w, fw, diffusion, lam):
+        dt = params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
+        return u + dt * (-diffusion - lam * (u - u0v)), dt
+    return step
+
+
+def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
+                inner, outer, step) -> tuple[np.ndarray, RunTrace]:
+    """Time-step from u to the equilibrium of the data u0v.
+
+    inner and outer are the dimension's two Laplacians (zero-slope inside,
+    zero-value outside), so that diffusion = outer(F(inner(u))).
+    step(u, w, F(w), diffusion, lam) returns (u_{n+1}, dt) for w = inner(u).
+    The diffusion at u_{n+1} is computed once and serves both the
+    stationarity check and the next step.  A step whose update rate
+    ||u_{n+1} - u_n|| / dt is at most tol ||u0|| has the stationary
+    equation checked; see RunTrace for what is recorded.
+    """
     adaptive = params.target_delta is not None
     lam = _LAMBDA_INIT if adaptive else params.lam
+    norm_u0 = float(np.linalg.norm(u0v))
+    cell = h ** u.ndim
     rec = _Recorder()
     converged = False
-    dt = params.dt or 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
+        w = inner(u)
+        fw = flux(w, params.epsilon, params.p)
+        diffusion = outer(fw)
         for it in range(1, params.max_iters + 1):
-            inner = laplacian_2d_values(u, h, Stencil2DKind.NEUMANN_MIRROR)
-            fu = flux(inner, params.epsilon, params.p)
-            diffusion = laplacian_2d_values(fu, h, Stencil2DKind.DIRICHLET_ZERO)
             if adaptive and it > 1:
                 lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-            if params.dt is None:
-                dt = _SAFETY * stable_step_bound(h, params.epsilon, params.p, lam) / 4.0
-            else:
-                dt = params.dt
-            u_new = u + dt * (-diffusion - lam * (u - u0v))
-
+            u_new, dt = step(u, w, fw, diffusion, lam)
             if not np.all(np.isfinite(u_new)):
                 raise DivergenceError(f"non-finite values at iteration {it}")
 
             update = float(np.linalg.norm(u_new - u))
             fid = float(np.linalg.norm(u_new - u0v))
-            energy = _flux_potential(inner, params.epsilon, params.p) * h * h \
-                + 0.5 * lam * fid * fid * h * h
+            energy = _flux_potential(w, params.epsilon, params.p) * cell \
+                + 0.5 * lam * fid * fid * cell
             rec.record(update / dt, fid, lam, energy)
             u = u_new
+            w = inner(u)
+            fw = flux(w, params.epsilon, params.p)
+            diffusion = outer(fw)
 
-            if update <= params.tol * dt * norm_u0:
-                stat = _diffusion_2d(u, h, params.epsilon, params.p) \
-                    + lam * (u - u0v)
-                if _stationary_ok(float(np.linalg.norm(stat)), lam, fid,
-                                  params.tol, norm_u0):
-                    converged = True
-                    break
+            if update <= params.tol * dt * norm_u0 and _stationary_ok(
+                    float(np.linalg.norm(diffusion + lam * (u - u0v))), lam, fid,
+                    params.tol, norm_u0):
+                converged = True
+                break
 
     return u, rec.finish(dt, converged)
 
@@ -434,49 +386,38 @@ def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
                params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Lagged diffusivity from u to the 2D equilibrium of the data u0v."""
     adaptive = params.target_delta is not None
-    lam = _LAMBDA_INIT if adaptive else params.lam
+    lam0 = _LAMBDA_INIT if adaptive else params.lam
     shape = u.shape
-    norm_u0 = float(np.linalg.norm(u0v))
     (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
-    rec = _Recorder()
-    converged = False
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, params.max_iters + 1):
-            # F(w) through flux, so that r is bit for bit rhs_2d's residual
-            w = laplacian_2d_values(u, h, Stencil2DKind.NEUMANN_MIRROR)
-            fw = flux(w, params.epsilon, params.p)
-            diffusion = laplacian_2d_values(fw, h, Stencil2DKind.DIRICHLET_ZERO)
-            if adaptive and it > 1:
-                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-            r = -diffusion - lam * (u - u0v)
-            stat = float(np.linalg.norm(r))
-            if not np.isfinite(stat):
-                raise DivergenceError(f"non-finite values at iteration {it}")
-            fid = float(np.linalg.norm(u - u0v))
-            energy = _flux_potential(w, params.epsilon, params.p) * h * h \
-                + 0.5 * lam * fid * fid * h * h
-            rec.record(stat, fid, lam, energy)
-            converged = _stationary_ok(stat, lam, fid, params.tol, norm_u0)
-            if converged or it == params.max_iters:
-                break
+    def residual(u, it):
+        # F(w) through flux, so that r is bit for bit rhs_2d's residual
+        w = laplacian_2d_values(u, h, Stencil2DKind.NEUMANN_MIRROR)
+        fw = flux(w, params.epsilon, params.p)
+        diffusion = laplacian_2d_values(fw, h, Stencil2DKind.DIRICHLET_ZERO)
+        lam = lam0
+        if adaptive and it > 1:
+            lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
+        energy = _flux_potential(w, params.epsilon, params.p) * h * h
+        return -diffusion - lam * (u - u0v), lam, energy, w
 
-            g = (w * w + params.epsilon) ** -params.p  # F(w) = g w
-            # a zero lam estimate would leave the constant mode without a
-            # pivot; the preconditioner then stands in the initial weight
-            pivots = float(g.max()) * squared + (lam if lam > 0 else _LAMBDA_INIT)
+    def solve(w, lam, r):
+        g = (w * w + params.epsilon) ** -params.p  # F(w) = g w
+        # a zero lam estimate would leave the constant mode without a
+        # pivot; the preconditioner then stands in the initial weight
+        pivots = float(g.max()) * squared + (lam if lam > 0 else _LAMBDA_INIT)
 
-            def precond(x):
-                x = q_r.T @ x.reshape(shape) @ q_c
-                return (q_r @ (x / pivots) @ q_c.T).ravel()
+        def precond(x):
+            x = q_r.T @ x.reshape(shape) @ q_c
+            return (q_r @ (x / pivots) @ q_c.T).ravel()
 
-            def matvec(x):
-                x = x.reshape(shape)
-                inner = laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
-                outer = laplacian_2d_values(g * inner, h, Stencil2DKind.DIRICHLET_ZERO)
-                return (outer + lam * x).ravel()
+        def matvec(x):
+            x = x.reshape(shape)
+            inner = laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
+            outer = laplacian_2d_values(g * inner, h, Stencil2DKind.DIRICHLET_ZERO)
+            return (outer + lam * x).ravel()
 
-            u = u + _gmres(matvec, precond, r.ravel()).reshape(shape)
+        return _gmres(matvec, precond, r.ravel()).reshape(shape)
 
-    return u, rec.finish(None, converged)
+    return _lagged(u0v, u, h, params.tol, params.max_iters, residual, solve)

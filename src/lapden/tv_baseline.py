@@ -17,6 +17,9 @@ which the iteration decreases at every step and converges to globally (Chan &
 Mulet, SIAM J. Numer. Anal. 36, 1999).  The 2D face magnitudes average the
 transverse derivative, so there the stop rule alone vouches for the result: a
 solve converges once ||r|| <= 10 tol lam ||u - u0||.
+
+The iteration is core._lagged, the loop the 2D nonlinear filter uses too;
+this module supplies the face residual and the banded solve.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DivergenceError, Field2D, RunTrace, Signal1D, require_finite
-from .nl_filter import _Recorder, _stationary_ok
+from .core import Field2D, RunTrace, Signal1D, _lagged, require_finite
 
 
 @dataclass(frozen=True)
@@ -165,31 +167,20 @@ def _tv_evolve(values0: np.ndarray, h: float,
     if not lam > 0:
         raise ValueError(f"lam must be > 0 for TV denoising (the fidelity "
                          f"weight must be positive), got {lam}")
-    norm_u0 = float(np.linalg.norm(values0))
-    u = values0.copy()
-    rec = _Recorder()
-    converged = False
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, params.max_iters + 1):
-            faces = _tv_faces(u, h, params.beta)
-            r = _tv_divergence(u, h, faces) - lam * (u - values0)
-            stat = float(np.linalg.norm(r))
-            if not math.isfinite(stat):
-                raise DivergenceError(f"non-finite values at iteration {it}")
-            fid = float(np.linalg.norm(u - values0))
-            energy = _tv_energy(u, h, params.beta) \
-                + 0.5 * lam * fid * fid * h**u.ndim
-            rec.record(stat, fid, lam, energy)
-            converged = _stationary_ok(stat, lam, fid, params.tol, norm_u0)
-            if converged or it == params.max_iters:
-                break
-            step = scipy.linalg.solveh_banded(
-                _tv_matrix(faces, u.shape, h, lam), r.ravel(),
-                overwrite_ab=True, check_finite=False)
-            u = u + step.reshape(u.shape)
+    def residual(u, it):
+        faces = _tv_faces(u, h, params.beta)
+        r = _tv_divergence(u, h, faces) - lam * (u - values0)
+        return r, lam, _tv_energy(u, h, params.beta), faces
 
-    return u, rec.finish(None, converged)
+    def solve(faces, lam, r):
+        step = scipy.linalg.solveh_banded(
+            _tv_matrix(faces, r.shape, h, lam), r.ravel(),
+            overwrite_ab=True, check_finite=False)
+        return step.reshape(r.shape)
+
+    return _lagged(values0, values0.copy(), h, params.tol, params.max_iters,
+                   residual, solve)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

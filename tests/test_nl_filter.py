@@ -23,7 +23,7 @@ from lapden import (
     sample_f_sine,
     stable_step_bound,
 )
-from lapden.experiments import NLAP_2D
+from lapden.experiments import NLAP_1D, NLAP_2D
 
 from test_grid_ops import dense_d0, dense_d1
 
@@ -253,6 +253,26 @@ class TestDenoise1D:
             params.tol * np.linalg.norm(noisy.values)
         assert trace.iters_run == len(trace.residual_history) \
             == len(trace.fidelity_history) == len(trace.lambda_history)
+
+    @pytest.mark.parametrize("solver", [Solver.SEMI_IMPLICIT, Solver.EXPLICIT_EULER])
+    def test_one_flux_evaluation_per_step(self, monkeypatch, solver):
+        # the diffusion at u_{n+1} serves the stationarity check and the
+        # next step, so a run evaluates the flux once at u0 and once per step
+        clean = sample_f_sine(100)
+        noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
+        delta = float(np.linalg.norm(noisy.values - clean.values))
+        calls = []
+        original = nl_filter.flux
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nl_filter, "flux", counting)
+        params = replace(NLAP_1D, target_delta=delta, solver=solver)
+        _, trace = denoise_1d(noisy, params)
+        assert trace.converged
+        assert len(calls) == trace.iters_run + 1
 
 
 class TestDenoise2D:
