@@ -16,11 +16,9 @@ from .data_io import PlotSpec, read_csv_1d, read_pgm, write_csv_1d, write_pgm, \
     write_svg_plot
 from .experiments import EXPERIMENT_NAMES, NOISY_COLOR, RESTORED_COLOR, \
     params_dict, run_experiment, trace_summary
-from .nl_filter import FilterParams, Solver, denoise_1d, denoise_2d
+from .nl_filter import FilterParams, denoise_1d, denoise_2d
 from .signals import compute_metrics, default_plateau_tau
 from .tv_baseline import TvParams, tv_denoise_1d, tv_denoise_2d
-
-_SOLVERS = {"explicit": Solver.EXPLICIT_EULER, "semi-implicit": Solver.SEMI_IMPLICIT}
 
 
 def _dt_value(text: str):
@@ -44,13 +42,15 @@ def _add_common_flags(sub, tv: bool):
         sub.add_argument("--p", type=float, default=0.5,
                          help="flux exponent >= 0.5 (default 0.5)")
         sub.add_argument("--dt", type=_dt_value, default=None, metavar="DT|auto",
-                         help="time step; 'auto' (default) picks a stable one, "
-                              "except that denoise2d then runs lagged "
-                              "diffusivity unless --lambda is 0")
+                         help="explicit-Euler time step; 'auto' (default) "
+                              "solves the equilibrium by lagged diffusivity "
+                              "instead, except with --lambda 0, where it "
+                              "picks a stable step")
         sub.add_argument("--tol", type=float, default=1e-6,
-                         help="relative update-rate tolerance, or the "
-                              "stationarity tolerance of lagged diffusivity, "
-                              "as for tv2d (default 1e-6)")
+                         help="stationarity tolerance: stop once the residual "
+                              "is at most 10*tol*lambda*||u - u0||; explicit "
+                              "Euler also waits for the relative update rate "
+                              "to reach tol (default 1e-6)")
     else:
         sub.add_argument("--beta", type=float, default=1e-6,
                          help="gradient regularizer (default 1e-6)")
@@ -79,17 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     d1.add_argument("--input", type=Path, required=True)
     d1.add_argument("--output", type=Path, default=None)
     _add_common_flags(d1, tv=False)
-    d1.add_argument("--solver", choices=sorted(_SOLVERS), default="semi-implicit")
     d1.set_defaults(func=cmd_denoise1d)
 
     d2 = subs.add_parser("denoise2d", help="denoise a 2D PGM image")
     d2.add_argument("--input", type=Path, required=True)
     d2.add_argument("--output", type=Path, default=None)
     _add_common_flags(d2, tv=False)
-    d2.add_argument("--solver", choices=["explicit"], default="explicit",
-                    help="accepted for compatibility and has no effect: "
-                         "--dt and --lambda choose between lagged "
-                         "diffusivity and explicit Euler (see --dt)")
     d2.add_argument("--warm-start", type=Path, default=None,
                     help="PGM used as the initial state instead of the input")
     d2.set_defaults(func=cmd_denoise2d)
@@ -124,7 +119,6 @@ def _filter_params(args) -> FilterParams:
         dt=args.dt,
         max_iters=args.iters,
         tol=args.tol,
-        solver=_SOLVERS[args.solver],
     )
     if args.delta is not None:
         kwargs["target_delta"] = args.delta

@@ -1,6 +1,6 @@
 """Shared value types (sampled signals, sampled fields, run diagnostics) and
-the lagged-diffusivity loop shared by the 2D nonlinear filter and the TV
-baseline."""
+the lagged-diffusivity loop shared by the nonlinear filter, in 1D and 2D, and
+the TV baseline."""
 
 from __future__ import annotations
 
@@ -108,26 +108,27 @@ class RunTrace:
 
     Two loops produce it, with different conventions.
 
-    Time stepping (nl_filter._time_steps: the nonlinear filter in 1D, and in
-    2D with a fixed dt or lam = 0) records entry k after step k:
-    residual_history[k] is the update rate ||u_{k+1} - u_k|| / dt,
-    fidelity_history[k] is ||u_{k+1} - u0||, lambda_history[k] the fidelity
-    weight used for step k, energy_history[k] a discrete energy proxy
-    (monitored as a diagnostic only; the semi-discrete system is not an
-    exact gradient flow), and dt_used the last step size.
+    Time stepping (nl_filter._time_steps: explicit Euler for the nonlinear
+    filter with a fixed dt, or with lam = 0 and no target_delta) records
+    entry k after step k: residual_history[k] is the update rate
+    ||u_{k+1} - u_k|| / dt, fidelity_history[k] is ||u_{k+1} - u0||,
+    lambda_history[k] the fidelity weight used for step k,
+    energy_history[k] a discrete energy proxy (monitored as a diagnostic
+    only; the semi-discrete system is not an exact gradient flow), and
+    dt_used the last step size.
 
     Lagged diffusivity (_lagged: the TV baseline, and the nonlinear filter
-    in 2D when dt is unset and lam > 0 or target_delta is set; no time step)
-    records entry k before step k: it describes the k-th iterate u_k that
-    the stop rule checked, with u_0 the starting state (the data, or the
-    warm start) and the last entry the returned iterate and the lam it was
-    certified with.  residual_history[k] is the stationary residual
-    ||r(u_k)|| (TV: r = div(grad u / |grad u|_beta) - lam (u - u0);
-    nonlinear filter: r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k]
-    is ||u_k - u0||, lambda_history[k] the lam of that check (re-estimated
-    from u_k in adaptive mode), energy_history[k] the regularized ROF energy
-    of u_k (a per-axis proxy in 2D) or the nonlinear filter's energy proxy,
-    and dt_used is None.
+    in 1D and 2D otherwise; no time step) records entry k before step k: it
+    describes the k-th iterate u_k that the stop rule checked, with u_0 the
+    starting state (the data, or the warm start) and the last entry the
+    returned iterate and the lam it was certified with.
+    residual_history[k] is the stationary residual ||r(u_k)|| (TV:
+    r = div(grad u / |grad u|_beta) - lam (u - u0); nonlinear filter:
+    r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||,
+    lambda_history[k] the lam of that check (re-estimated from u_k in
+    adaptive mode), energy_history[k] the regularized ROF energy of u_k (a
+    per-axis proxy in 2D) or the nonlinear filter's energy proxy, and
+    dt_used is None.
     """
 
     iters_run: int

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Field2D, RunTrace
 from .data_io import PlotSpec, write_csv_1d, write_pgm, write_svg_plot
-from .nl_filter import FilterParams, Solver, denoise_1d, denoise_2d
+from .nl_filter import FilterParams, denoise_1d, denoise_2d
 from .signals import NoiseSpec, add_noise, compute_metrics, default_plateau_tau, \
     sample_f2d, sample_f_sine, sample_g_jumps
 from .tv_baseline import TvParams, tv_denoise_1d, tv_denoise_2d
@@ -27,10 +27,8 @@ DELTA_REL_1D = 0.09
 DELTA_REL_2D = 0.05
 
 # method parameters tuned on the default seed; recorded in every report row
-NLAP_1D = FilterParams(solver=Solver.SEMI_IMPLICIT, epsilon=1e-2, p=0.5,
-                       tol=1e-6, max_iters=200_000)
-NLAP_2D = FilterParams(solver=Solver.EXPLICIT_EULER, epsilon=1e-2, p=0.5,
-                       tol=1e-6, max_iters=200_000)
+NLAP_1D = FilterParams(epsilon=1e-2, p=0.5, tol=1e-6, max_iters=200_000)
+NLAP_2D = FilterParams(epsilon=1e-2, p=0.5, tol=1e-6, max_iters=200_000)
 TV_1D = TvParams(lam=3.0, beta=1e-6, tol=1e-6, max_iters=400_000)
 TV_2D = TvParams(lam=10.0, beta=1e-6, tol=1e-6, max_iters=400_000)
 
@@ -69,10 +67,10 @@ def trace_summary(trace: RunTrace) -> dict:
 
 
 def params_dict(params) -> dict:
-    """A FilterParams or TvParams as a JSON-ready dict (the solver by value)."""
+    """A FilterParams or TvParams as a JSON-ready dict, without
+    FilterParams.solver, which selects nothing."""
     d = asdict(params)
-    if "solver" in d:
-        d["solver"] = params.solver.value
+    d.pop("solver", None)
     return d
 
 

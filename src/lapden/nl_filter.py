@@ -1,27 +1,26 @@
 """The nonlinear Laplacian filter.
 
-Evolves du/dt = -D1 F(u) - lambda (u - u0) in 1D (and the double-Laplacian
-analogue in 2D) to its equilibrium, which solves the fourth-order stationary
-filter equation.  F saturates large curvature, so discontinuities survive
-while oscillatory noise is diffused away.
+Finds the equilibrium of du/dt = -D1 F(u) - lambda (u - u0) in 1D (and of
+the double-Laplacian analogue in 2D), which solves the fourth-order
+stationary filter equation.  F saturates large curvature, so
+discontinuities survive while oscillatory noise is diffused away.
 
-In 2D, unless a fixed time step or lambda = 0 asks for explicit Euler, the
-equilibrium is reached without time stepping, by the lagged-diffusivity
-fixed point of Vogel & Oman, "Iterative methods for total
-variation denoising", SIAM J. Sci. Comput. 17 (1996): writing
+Both dimensions follow one path rule (_evolve).  A fixed time step, or
+lambda = 0 without a noise target, takes explicit Euler steps
+(_time_steps).  Otherwise the equilibrium is reached without time stepping,
+by the lagged-diffusivity fixed point of Vogel & Oman, "Iterative methods
+for total variation denoising", SIAM J. Sci. Comput. 17 (1996): writing
 F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer step freezes g at
 w = L_N u and takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I and r
-the stationary residual.  A is non-symmetric (the mirror and zero-boundary
-Laplacians differ), so A^-1 r is approximated by one cycle of
-right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986), matrix-free, with the fast-transform preconditioner
-max(g) (L_row + L_col)^2 + lambda I.
-
-Two loops drive every solve.  _time_steps runs the time-stepping solvers
-(1D explicit and semi-implicit Euler, 2D explicit Euler); they differ only
-in their step, which sets dt and forms u_{n+1}.  core._lagged runs lagged
-diffusivity, here with the 2D flux residual and the GMRES inner solve, and
-for the TV baseline with its own residual and banded solve.
+the stationary residual.  L_N and L_D are the dimension's zero-slope and
+zero-value Laplacians: D0 and D1 in 1D, five-point stencils in 2D.
+_lagged_filter forms r and the loop is core._lagged, which the TV baseline
+runs too; only the inner solve differs between the dimensions.  In 1D A is
+pentadiagonal and is solved exactly by banded LU.  In 2D A is too large for
+that and non-symmetric (the mirror and zero-boundary Laplacians differ), so
+A^-1 r is approximated by one cycle of right-preconditioned GMRES (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, with the
+fast-transform preconditioner max(g) (L_row + L_col)^2 + lambda I.
 """
 
 from __future__ import annotations
@@ -53,8 +52,11 @@ _GMRES_VECTORS = 50  # inner solve: Krylov vectors of that cycle
 
 
 class Solver(Enum):
+    """Kept so that code passing FilterParams(solver=...) still runs; no
+    member selects anything (see FilterParams)."""
+
     EXPLICIT_EULER = "explicit-euler"
-    SEMI_IMPLICIT = "semi-implicit"  # 1D only
+    SEMI_IMPLICIT = "semi-implicit"
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,15 @@ class FilterParams:
 
     lam is the fidelity weight; when target_delta (the known noise norm, in
     the plain sample 2-norm) is set it takes over and lam is re-estimated
-    every step.  dt=None picks an automatic step size.  For time stepping
-    tol bounds the relative update rate ||u_{n+1} - u_n|| / (dt ||u0||) at
-    which the stationary equation is checked.  In 2D, dt=None with lam > 0
-    or target_delta set selects lagged diffusivity instead (see denoise_2d),
-    and tol is its stationarity bound, as for the TV baseline: a run
-    converges once the stationary residual r satisfies
-    ||r|| <= 10 tol lam ||u - u0||.  All float knobs must be finite.
+    every iteration.  In 1D and 2D alike, dt=None with lam > 0 or
+    target_delta set selects lagged diffusivity (see the module docstring),
+    and a run converges once the stationary residual r satisfies
+    ||r|| <= 10 tol lam ||u - u0||, as for the TV baseline.  A fixed dt, or
+    lam = 0 without target_delta, takes explicit Euler steps of that size (an
+    automatic stable size when dt is None); there the same bound is checked
+    once the relative update rate ||u_{n+1} - u_n|| / (dt ||u0||) is at most
+    tol.  solver is accepted for compatibility and has no effect: dt, lam
+    and target_delta choose the path.  All float knobs must be finite.
     """
 
     lam: float = 1.0
@@ -190,65 +194,23 @@ def _lambda_estimate(du: np.ndarray, diffusion: np.ndarray,
     return max(est, 0.0)
 
 
-def _semi_implicit_matrix(penta: BandedMatrix, dt: float, c: float,
-                          lam: float) -> BandedMatrix:
-    """I + dt*c*D1@D0 + dt*lam*I from the precomputed product D1@D0."""
-    bands = []
-    for k, v in penta.bands:
-        scaled = dt * c * v
-        if k == 0:
-            scaled = scaled + (1.0 + dt * lam)
-        bands.append((k, scaled))
-    return BandedMatrix(penta.n, tuple(bands))
-
-
 def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
-    """Evolve from u0 until the filter equation's equilibrium.
+    """Find the equilibrium of the filter equation for the data u0.
 
-    Explicit Euler re-evaluates its stability-bounded step each iteration;
-    the semi-implicit solver treats the stiff linearized fourth-order part
-    (stabilizer c = epsilon^-p) implicitly through a pentadiagonal solve and
-    takes far larger steps.  Runs are deterministic.
+    The path follows the rule of the module docstring: lagged diffusivity,
+    or explicit Euler time steps for a fixed dt or lam = 0 without
+    target_delta.  Runs are deterministic; see RunTrace for the trace.
     """
-    m = len(u0)
-    if m < 3:
-        raise ValueError(f"need at least 3 samples, got {m}")
-    h = u0.h
-    u0v = u0.values
-    d0 = build_d0(m, h)
-    d1 = build_d1(m, h)
-    if params.solver is Solver.SEMI_IMPLICIT:
-        c = params.epsilon ** (-params.p)
-        penta = matmul_banded(d1, d0)
-
-        def step(u, w, fw, diffusion, lam):
-            dt = params.dt or 64.0 * stable_step_bound(h, params.epsilon, params.p, lam)
-            matrix = _semi_implicit_matrix(penta, dt, c, lam)
-            b = u - dt * apply_banded(d1, fw - c * w) + dt * lam * u0v
-            return solve_banded(matrix, b), dt
-    else:
-        step = _explicit_step(u0v, h, params, _SAFETY)
-
-    values, trace = _time_steps(u0v, u0v.copy(), h, params,
-                                lambda x: apply_banded(d0, x),
-                                lambda x: apply_banded(d1, x), step)
+    if len(u0) < 3:
+        raise ValueError(f"need at least 3 samples, got {len(u0)}")
+    values, trace = _evolve(u0.values, u0.values.copy(), u0.h, params)
     return u0.with_values(values), trace
 
 
 def denoise_2d(u0: Field2D, params: FilterParams,
                warm_start: Field2D | None = None) -> tuple[Field2D, RunTrace]:
-    """2D analogue of denoise_1d.
-
-    With dt unset and lam > 0 (or target_delta set) the equilibrium is found
-    by lagged diffusivity (see the module docstring), whose trace follows the
-    TV baseline's convention (see RunTrace).  A fixed dt, or lam = 0, where
-    the lagged system is singular, takes explicit Euler steps instead; the
-    2D five-point operators have twice the 1D norm, so the automatic step is
-    a quarter of the 1D stability bound.  warm_start, when given, seeds the
-    iteration in place of u0.
-    """
-    if params.solver is not Solver.EXPLICIT_EULER:
-        raise ValueError("2D denoising supports the explicit-Euler solver only")
+    """2D analogue of denoise_1d; warm_start, when given, seeds the
+    iteration in place of u0."""
     if u0.rows < 3 or u0.cols < 3:
         raise ValueError(f"need at least a 3x3 field, got {u0.rows}x{u0.cols}")
     if warm_start is not None and (
@@ -256,39 +218,54 @@ def denoise_2d(u0: Field2D, params: FilterParams,
     ):
         raise ValueError("warm start grid does not match the data grid")
     start = (warm_start if warm_start is not None else u0).values.copy()
-    if params.dt is None and (params.target_delta is not None or params.lam > 0):
-        values, trace = _lagged_2d(u0.values, start, u0.h, params)
-    else:
-        values, trace = _explicit_2d(u0.values, start, u0.h, params)
+    values, trace = _evolve(u0.values, start, u0.h, params)
     return u0.with_values(values), trace
+
+
+def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
+            params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """From u to the equilibrium of the data u0v, in either dimension.
+
+    dt unset with lam > 0 or target_delta set takes lagged diffusivity;
+    everything else takes explicit Euler steps.  At lam = 0 the frozen
+    matrix is singular (L_N annihilates constants), so a fixed lam = 0 has
+    no lagged step.
+    """
+    lagged = params.dt is None and (params.target_delta is not None or params.lam > 0)
+    if u.ndim == 1:
+        path = _lagged_1d if lagged else _explicit_1d
+    else:
+        path = _lagged_2d if lagged else _explicit_2d
+    return path(u0v, u, h, params)
+
+
+def _explicit_1d(u0v: np.ndarray, u: np.ndarray, h: float,
+                 params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Explicit Euler from u to the 1D equilibrium of the data u0v."""
+    d0, d1 = build_d0(u.size, h), build_d1(u.size, h)
+    return _time_steps(u0v, u, h, params, lambda x: apply_banded(d0, x),
+                       lambda x: apply_banded(d1, x), _SAFETY)
 
 
 def _explicit_2d(u0v: np.ndarray, u: np.ndarray, h: float,
                  params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Explicit Euler from u to the 2D equilibrium of the data u0v."""
+    """Explicit Euler from u to the 2D equilibrium of the data u0v; the 2D
+    five-point operators have twice the 1D norm, so the automatic step is a
+    quarter of the 1D stability bound."""
     return _time_steps(
         u0v, u, h, params,
         lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
         lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO),
-        _explicit_step(u0v, h, params, _SAFETY / 4.0))
-
-
-def _explicit_step(u0v: np.ndarray, h: float, params: FilterParams, safety: float):
-    """Explicit Euler step for _time_steps; the automatic dt is safety times
-    the stability bound."""
-    def step(u, w, fw, diffusion, lam):
-        dt = params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
-        return u + dt * (-diffusion - lam * (u - u0v)), dt
-    return step
+        _SAFETY / 4.0)
 
 
 def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
-                inner, outer, step) -> tuple[np.ndarray, RunTrace]:
-    """Time-step from u to the equilibrium of the data u0v.
+                inner, outer, safety: float) -> tuple[np.ndarray, RunTrace]:
+    """Explicit Euler time steps from u to the equilibrium of the data u0v.
 
     inner and outer are the dimension's two Laplacians (zero-slope inside,
-    zero-value outside), so that diffusion = outer(F(inner(u))).
-    step(u, w, F(w), diffusion, lam) returns (u_{n+1}, dt) for w = inner(u).
+    zero-value outside), so that diffusion = outer(F(inner(u))).  The step
+    is params.dt, or else safety times stable_step_bound at the current lam.
     The diffusion at u_{n+1} is computed once and serves both the
     stationarity check and the next step.  A step whose update rate
     ||u_{n+1} - u_n|| / dt is at most tol ||u0|| has the stationary
@@ -303,12 +280,12 @@ def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
 
     with np.errstate(over="ignore", invalid="ignore"):
         w = inner(u)
-        fw = flux(w, params.epsilon, params.p)
-        diffusion = outer(fw)
+        diffusion = outer(flux(w, params.epsilon, params.p))
         for it in range(1, params.max_iters + 1):
             if adaptive and it > 1:
                 lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-            u_new, dt = step(u, w, fw, diffusion, lam)
+            dt = params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
+            u_new = u + dt * (-diffusion - lam * (u - u0v))
             if not np.all(np.isfinite(u_new)):
                 raise DivergenceError(f"non-finite values at iteration {it}")
 
@@ -319,8 +296,7 @@ def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
             rec.record(update / dt, fid, lam, energy)
             u = u_new
             w = inner(u)
-            fw = flux(w, params.epsilon, params.p)
-            diffusion = outer(fw)
+            diffusion = outer(flux(w, params.epsilon, params.p))
 
             if update <= params.tol * dt * norm_u0 and _stationary_ok(
                     float(np.linalg.norm(diffusion + lam * (u - u0v))), lam, fid,
@@ -382,28 +358,67 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
     return precond(y @ basis[:size])
 
 
-def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
-               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Lagged diffusivity from u to the 2D equilibrium of the data u0v."""
+def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
+                   inner, outer, solve) -> tuple[np.ndarray, RunTrace]:
+    """Lagged diffusivity from u to the equilibrium of the data u0v.
+
+    inner and outer are the dimension's Laplacians, as for _time_steps.
+    solve(g, lam, r) returns (an approximation of) A^-1 r for the frozen
+    matrix A = outer diag(g) inner + lam I.
+    """
     adaptive = params.target_delta is not None
     lam0 = _LAMBDA_INIT if adaptive else params.lam
+    cell = h ** u.ndim
+
+    def residual(u, it):
+        # F(w) through flux, so that r is bit for bit rhs_1d's / rhs_2d's
+        w = inner(u)
+        diffusion = outer(flux(w, params.epsilon, params.p))
+        lam = lam0
+        if adaptive and it > 1:
+            lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
+        energy = _flux_potential(w, params.epsilon, params.p) * cell
+        return -diffusion - lam * (u - u0v), lam, energy, w
+
+    def frozen_solve(w, lam, r):
+        return solve((w * w + params.epsilon) ** -params.p, lam, r)  # F(w) = g w
+
+    return _lagged(u0v, u, h, params.tol, params.max_iters, residual, frozen_solve)
+
+
+def _lagged_1d(u0v: np.ndarray, u: np.ndarray, h: float,
+               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Lagged diffusivity in 1D, where A = D1 diag(g) D0 + lam I is
+    pentadiagonal and is solved exactly."""
+    n = u.size
+    d0, d1 = build_d0(n, h), build_d1(n, h)
+
+    def solve(g, lam, r):
+        a = matmul_banded(d1, matmul_banded(BandedMatrix(n, ((0, g),)), d0))
+        bands = dict(a.bands)
+        # a zero lam estimate would leave the constant mode without a pivot;
+        # the initial weight then stands in
+        bands[0] = bands[0] + (lam if lam > 0 else _LAMBDA_INIT)
+        return solve_banded(BandedMatrix(n, tuple(bands.items())), r)
+
+    return _lagged_filter(u0v, u, h, params, lambda x: apply_banded(d0, x),
+                          lambda x: apply_banded(d1, x), solve)
+
+
+def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
+               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Lagged diffusivity in 2D, with one GMRES cycle as the inner solve."""
     shape = u.shape
     (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
 
-    def residual(u, it):
-        # F(w) through flux, so that r is bit for bit rhs_2d's residual
-        w = laplacian_2d_values(u, h, Stencil2DKind.NEUMANN_MIRROR)
-        fw = flux(w, params.epsilon, params.p)
-        diffusion = laplacian_2d_values(fw, h, Stencil2DKind.DIRICHLET_ZERO)
-        lam = lam0
-        if adaptive and it > 1:
-            lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-        energy = _flux_potential(w, params.epsilon, params.p) * h * h
-        return -diffusion - lam * (u - u0v), lam, energy, w
+    def inner(x):
+        return laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
 
-    def solve(w, lam, r):
-        g = (w * w + params.epsilon) ** -params.p  # F(w) = g w
+    def outer(x):
+        return laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO)
+
+    def solve(g, lam, r):
         # a zero lam estimate would leave the constant mode without a
         # pivot; the preconditioner then stands in the initial weight
         pivots = float(g.max()) * squared + (lam if lam > 0 else _LAMBDA_INIT)
@@ -414,10 +429,8 @@ def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
 
         def matvec(x):
             x = x.reshape(shape)
-            inner = laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
-            outer = laplacian_2d_values(g * inner, h, Stencil2DKind.DIRICHLET_ZERO)
-            return (outer + lam * x).ravel()
+            return (outer(g * inner(x)) + lam * x).ravel()
 
         return _gmres(matvec, precond, r.ravel()).reshape(shape)
 
-    return _lagged(u0v, u, h, params.tol, params.max_iters, residual, solve)
+    return _lagged_filter(u0v, u, h, params, inner, outer, solve)

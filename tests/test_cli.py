@@ -37,20 +37,23 @@ def sine_files(tmp_path):
 
 class TestDenoise1D:
     def test_constant_input_round_trips(self, constant_csv, tmp_path):
+        # --lambda 0 takes explicit Euler steps
         out = tmp_path / "out.csv"
         report = tmp_path / "report.jsonl"
         code = main(["denoise1d", "--input", str(constant_csv),
                      "--output", str(out), "--report", str(report),
-                     "--solver", "explicit"])
+                     "--lambda", "0"])
         assert code == 0
         assert np.array_equal(read_csv_1d(out).values,
                               read_csv_1d(constant_csv).values)
         row = json.loads(report.read_text())
         assert row["trace_summary"]["converged"] is True
         assert row["trace_summary"]["iters"] == 1
+        assert row["trace_summary"]["dt_used"] is not None
 
     def test_constant_input_semi_implicit(self, constant_csv, tmp_path):
-        # the banded solve reproduces a constant to round-off, not bitwise
+        # the default path, lagged diffusivity, certifies a constant at its
+        # first check
         out = tmp_path / "out.csv"
         report = tmp_path / "report.jsonl"
         code = main(["denoise1d", "--input", str(constant_csv),
@@ -62,6 +65,7 @@ class TestDenoise1D:
         row = json.loads(report.read_text())
         assert row["trace_summary"]["converged"] is True
         assert row["trace_summary"]["iters"] == 1
+        assert row["trace_summary"]["dt_used"] is None
 
     def test_sine_run_with_metrics(self, sine_files, tmp_path):
         clean_path, noisy_path = sine_files
@@ -72,7 +76,7 @@ class TestDenoise1D:
         code = main(["denoise1d", "--input", str(noisy_path),
                      "--output", str(out), "--plot", str(plot),
                      "--report", str(report), "--clean", str(clean_path),
-                     "--delta", repr(delta), "--solver", "semi-implicit"])
+                     "--delta", repr(delta)])
         assert code == 0
         row = json.loads(report.read_text())
         assert row["metrics_restored"]["rel_err"] < 0.09
@@ -105,7 +109,7 @@ class TestDenoise1D:
     def test_divergence_exit_code(self, sine_files, tmp_path):
         _, noisy_path = sine_files
         code = main(["denoise1d", "--input", str(noisy_path),
-                     "--solver", "explicit", "--dt", "1e9", "--iters", "500"])
+                     "--dt", "1e9", "--iters", "500"])
         assert code == 3
 
 
@@ -177,6 +181,7 @@ class TestDenoise2D:
         assert code == 2
 
     def test_semi_implicit_choice_rejected(self, tmp_path):
+        # there is no --solver flag: --dt and --lambda choose the path
         src = tmp_path / "grey.pgm"
         write_pgm(src, Field2D(np.full((8, 8), 0.5)))
         code = main(["denoise2d", "--input", str(src),

@@ -10,7 +10,6 @@ from lapden import (
     FilterParams,
     NoiseSpec,
     Signal1D,
-    Solver,
     adaptive_lambda,
     add_noise,
     denoise_1d,
@@ -21,6 +20,7 @@ from lapden import (
     rhs_2d,
     sample_f2d,
     sample_f_sine,
+    sample_g_jumps,
     stable_step_bound,
 )
 from lapden.experiments import NLAP_1D, NLAP_2D
@@ -144,9 +144,9 @@ class TestStableStepBound:
     def test_no_blow_up_over_1e4_steps(self):
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
-        params = FilterParams(lam=1.0, solver=Solver.EXPLICIT_EULER,
-                              max_iters=10_000, tol=1e-300)
-        _, trace = denoise_1d(noisy, params)
+        params = FilterParams(lam=1.0, max_iters=10_000, tol=1e-300)
+        _, trace = nl_filter._explicit_1d(noisy.values, noisy.values.copy(),
+                                          noisy.h, params)
         r = trace.residual_history
         ratios = r[1:] / np.maximum(r[:-1], 1e-300)
         assert ratios.max() <= 10.0
@@ -178,7 +178,7 @@ class TestAdaptiveLambda:
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
-        params = FilterParams(solver=Solver.SEMI_IMPLICIT, target_delta=delta)
+        params = FilterParams(target_delta=delta)
         restored, trace = denoise_1d(noisy, params)
         assert trace.converged
         fid = np.linalg.norm(restored.values - noisy.values)
@@ -198,7 +198,7 @@ class TestDenoise1D:
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
         restored, trace = denoise_1d(
-            noisy, FilterParams(solver=Solver.SEMI_IMPLICIT, target_delta=delta))
+            noisy, FilterParams(target_delta=delta))
         rel = np.linalg.norm(restored.values - clean.values) \
             / np.linalg.norm(clean.values)
         assert trace.converged
@@ -217,19 +217,19 @@ class TestDenoise1D:
     def test_solvers_agree_at_equilibrium(self):
         raw = gaussian_noise(51, NoiseSpec(seed=3, delta_rel=0))
         u0 = Signal1D(np.convolve(raw, np.ones(7) / 7, mode="same"))
-        common = dict(lam=0.5, tol=1e-8, max_iters=500_000)
-        ue, te = denoise_1d(u0, FilterParams(solver=Solver.EXPLICIT_EULER, **common))
-        us, ts = denoise_1d(u0, FilterParams(solver=Solver.SEMI_IMPLICIT, **common))
-        assert te.converged and ts.converged
-        rel = np.linalg.norm(ue.values - us.values) / np.linalg.norm(ue.values)
+        params = FilterParams(lam=0.5, tol=1e-8, max_iters=500_000)
+        ue, te = nl_filter._explicit_1d(u0.values, u0.values.copy(), u0.h, params)
+        ul, tl = denoise_1d(u0, params)
+        assert te.converged and tl.converged
+        assert te.dt_used is not None and tl.dt_used is None
+        rel = np.linalg.norm(ue - ul.values) / np.linalg.norm(ue)
         assert rel <= 1e-3
 
     def test_divergence_names_iteration(self):
         # the saturating flux alone cannot overflow; an oversized step makes
         # the fidelity term amplify by lam*dt each iteration
         noisy = noise_signal(30, seed=9)
-        params = FilterParams(lam=1.0, dt=1e9, solver=Solver.EXPLICIT_EULER,
-                              max_iters=1000, tol=1e-300)
+        params = FilterParams(lam=1.0, dt=1e9, max_iters=1000, tol=1e-300)
         with pytest.raises(DivergenceError, match=r"iteration \d+"):
             denoise_1d(noisy, params)
 
@@ -246,7 +246,7 @@ class TestDenoise1D:
     def test_trace_invariant_on_convergence(self):
         clean = sample_f_sine(60)
         noisy = add_noise(clean, NoiseSpec(seed=12, delta_rel=0.05))
-        params = FilterParams(lam=1.0, solver=Solver.SEMI_IMPLICIT, tol=1e-7)
+        params = FilterParams(lam=1.0, tol=1e-7)
         _, trace = denoise_1d(noisy, params)
         assert trace.converged
         assert trace.residual_history[-1] <= \
@@ -254,10 +254,11 @@ class TestDenoise1D:
         assert trace.iters_run == len(trace.residual_history) \
             == len(trace.fidelity_history) == len(trace.lambda_history)
 
-    @pytest.mark.parametrize("solver", [Solver.SEMI_IMPLICIT, Solver.EXPLICIT_EULER])
-    def test_one_flux_evaluation_per_step(self, monkeypatch, solver):
-        # the diffusion at u_{n+1} serves the stationarity check and the
-        # next step, so a run evaluates the flux once at u0 and once per step
+    @pytest.mark.parametrize("path", ["explicit", "lagged"])
+    def test_one_flux_evaluation_per_step(self, monkeypatch, path):
+        # time stepping: the diffusion at u_{n+1} serves the stationarity
+        # check and the next step, so a run evaluates the flux once at u0 and
+        # once per step; lagged diffusivity: once per checked iterate
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
@@ -269,10 +270,15 @@ class TestDenoise1D:
             return original(*args)
 
         monkeypatch.setattr(nl_filter, "flux", counting)
-        params = replace(NLAP_1D, target_delta=delta, solver=solver)
-        _, trace = denoise_1d(noisy, params)
+        params = replace(NLAP_1D, target_delta=delta)
+        if path == "explicit":
+            _, trace = nl_filter._explicit_1d(noisy.values, noisy.values.copy(),
+                                              noisy.h, params)
+            assert len(calls) == trace.iters_run + 1
+        else:
+            _, trace = denoise_1d(noisy, params)
+            assert len(calls) == trace.iters_run
         assert trace.converged
-        assert len(calls) == trace.iters_run + 1
 
 
 class TestDenoise2D:
@@ -301,11 +307,6 @@ class TestDenoise2D:
         pos, _ = denoise_2d(f, params)
         neg, _ = denoise_2d(f.with_values(-f.values), params)
         assert np.array_equal(neg.values, -pos.values)
-
-    def test_semi_implicit_rejected(self):
-        f = Field2D(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            denoise_2d(f, FilterParams(solver=Solver.SEMI_IMPLICIT))
 
     def test_small_field_rejected(self):
         with pytest.raises(ValueError):
@@ -360,25 +361,6 @@ class TestLagged2D:
         neg, _ = denoise_2d(noisy.with_values(-noisy.values), params)
         assert np.array_equal(neg.values, -pos.values)
 
-    def test_history_semantics(self):
-        _, noisy, delta = noisy_f2d(24, seed=8)
-        params = FilterParams(target_delta=delta)
-        restored, trace = denoise_2d(noisy, params)
-        assert trace.converged
-        assert trace.dt_used is None
-        # entry 0 checks the data itself, the last entry the returned iterate
-        assert trace.fidelity_history[0] == 0.0
-        fid = np.linalg.norm(restored.values - noisy.values)
-        assert trace.fidelity_history[-1] == fid
-        lam = trace.lambda_history[-1]
-        stat = np.linalg.norm(rhs_2d(restored, noisy,
-                                     FilterParams(lam=lam, p=params.p,
-                                                  epsilon=params.epsilon)).values)
-        assert trace.residual_history[-1] == stat
-        assert trace.residual_history[-1] <= 10.0 * params.tol * lam * fid
-        assert np.all(trace.residual_history[:-1] > 10.0 * params.tol
-                      * trace.lambda_history[:-1] * trace.fidelity_history[:-1])
-
     def test_zero_lambda_estimate_keeps_steps_bounded(self, monkeypatch):
         # the preconditioner's constant mode has pivot lam; an estimate of 0
         # must not blow that mode up (a round-off pivot shifts u by ~1e12)
@@ -401,6 +383,95 @@ class TestLagged2D:
         expect, _ = nl_filter._explicit_2d(f.values, f.values.copy(), f.h, params)
         assert np.array_equal(restored.values, expect)
         assert trace.dt_used is not None
+
+
+class TestLagged1D:
+    @pytest.mark.parametrize("sampler, lam", [
+        (sample_f_sine, None), (sample_g_jumps, None), (sample_g_jumps, 2.0)],
+        ids=["fig2", "fig3", "fig3-lam2"])
+    def test_fig_converges_in_few_iterations(self, sampler, lam):
+        clean = sampler(100)
+        noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
+        delta = float(np.linalg.norm(noisy.values - clean.values))
+        if lam is None:
+            params = replace(NLAP_1D, target_delta=delta)
+        else:
+            params = replace(NLAP_1D, lam=lam)
+        restored, trace = denoise_1d(noisy, params)
+        assert trace.converged
+        assert trace.dt_used is None
+        assert trace.iters_run < 60
+        if lam is None:
+            fid = np.linalg.norm(restored.values - noisy.values)
+            assert abs(fid - delta) <= 1e-4 * delta
+
+    def test_one_step_matches_dense_oracle(self):
+        # u1 = u0 + A^-1 r(u0) with A = D1 diag(g) D0 + lam I, g = (w^2+eps)^-p
+        rng = np.random.default_rng(16)
+        n = 9
+        u0 = Signal1D(rng.normal(size=n))
+        params = FilterParams(lam=0.7, epsilon=3e-2, p=0.75, max_iters=2,
+                              tol=1e-300)
+        stepped, trace = denoise_1d(u0, params)
+        d0, d1 = dense_d0(n, 1.0), dense_d1(n, 1.0)
+        w = d0 @ u0.values
+        g = (w * w + params.epsilon) ** -params.p
+        a = d1 @ np.diag(g) @ d0 + params.lam * np.eye(n)
+        expected = u0.values + np.linalg.solve(a, -(d1 @ (g * w)))
+        assert trace.iters_run == 2
+        assert np.allclose(stepped.values, expected, rtol=1e-12, atol=1e-12)
+
+    def test_zero_lambda_estimate_keeps_steps_bounded(self, monkeypatch):
+        # lam = 0 leaves A singular, since D0 annihilates constants; the
+        # solve must not fail or shift the constant mode by a round-off pivot
+        monkeypatch.setattr(nl_filter, "_lambda_estimate", lambda *args: 0.0)
+        noisy = add_noise(sample_f_sine(40), NoiseSpec(seed=4, delta_rel=0.09))
+        params = FilterParams(target_delta=1.0, max_iters=5)
+        restored, trace = denoise_1d(noisy, params)
+        assert trace.iters_run == 5
+        assert np.all(trace.lambda_history[1:] == 0.0)
+        assert np.abs(restored.values - noisy.values).max() \
+            <= np.abs(noisy.values).max()
+        assert np.all(np.diff(trace.residual_history) < 0.0)
+
+    @pytest.mark.parametrize("knobs", [dict(lam=0.0), dict(dt=1e-3)])
+    def test_zero_lambda_or_fixed_step_stays_explicit(self, knobs):
+        u0 = noise_signal(12, seed=17)
+        params = FilterParams(max_iters=3, tol=1e-300, **knobs)
+        restored, trace = denoise_1d(u0, params)
+        expect, _ = nl_filter._explicit_1d(u0.values, u0.values.copy(), u0.h,
+                                           params)
+        assert np.array_equal(restored.values, expect)
+        assert trace.dt_used is not None
+
+
+class TestLaggedHistory:
+    @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+    def test_history_semantics(self, ndim):
+        if ndim == 1:
+            clean = sample_f_sine(60)
+            noisy = add_noise(clean, NoiseSpec(seed=8, delta_rel=0.09))
+            delta = float(np.linalg.norm(noisy.values - clean.values))
+            denoise, rhs = denoise_1d, rhs_1d
+        else:
+            _, noisy, delta = noisy_f2d(24, seed=8)
+            denoise, rhs = denoise_2d, (lambda *a: rhs_2d(*a).values)
+        params = FilterParams(target_delta=delta)
+        restored, trace = denoise(noisy, params)
+        assert trace.converged
+        assert trace.dt_used is None
+        # entry 0 checks the data itself, the last entry the returned iterate
+        assert trace.fidelity_history[0] == 0.0
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert trace.fidelity_history[-1] == fid
+        lam = trace.lambda_history[-1]
+        stat = np.linalg.norm(rhs(restored, noisy,
+                                  FilterParams(lam=lam, p=params.p,
+                                               epsilon=params.epsilon)))
+        assert trace.residual_history[-1] == stat
+        assert trace.residual_history[-1] <= 10.0 * params.tol * lam * fid
+        assert np.all(trace.residual_history[:-1] > 10.0 * params.tol
+                      * trace.lambda_history[:-1] * trace.fidelity_history[:-1])
 
 
 class TestFilterParamsValidation:
