@@ -18,14 +18,12 @@ from .data_io import (
     write_svg_plot,
 )
 from .grid_ops import (
-    BandedMatrix,
     SingularSystemError,
     Stencil2DKind,
     apply_banded,
     build_d0,
     build_d1,
     laplacian_2d,
-    matmul_banded,
     solve_banded,
 )
 from .nl_filter import (
@@ -55,7 +53,6 @@ from .tv_baseline import TvParams, tv_denoise_1d, tv_denoise_2d, tv_rhs_1d, tv_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedMatrix",
     "CsvParseError",
     "DivergenceError",
     "EmptyInputError",
@@ -83,7 +80,6 @@ __all__ = [
     "flux",
     "gaussian_noise",
     "laplacian_2d",
-    "matmul_banded",
     "read_csv_1d",
     "read_pgm",
     "rhs_1d",

@@ -108,7 +108,7 @@ class RunTrace:
 
     Two loops produce it, with different conventions.
 
-    Time stepping (nl_filter._time_steps: explicit Euler for the nonlinear
+    Time stepping (nl_filter._explicit: explicit Euler for the nonlinear
     filter with a fixed dt, or with lam = 0 and no target_delta) records
     entry k after step k: residual_history[k] is the update rate
     ||u_{k+1} - u_k|| / dt, fidelity_history[k] is ||u_{k+1} - u0||,

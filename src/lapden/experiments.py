@@ -227,10 +227,8 @@ def run_experiment(name: str, seed: int, n: int | None, outdir) -> list[dict]:
                          f"{', '.join(EXPERIMENT_NAMES)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if name in ("fig1", "fig2", "fig3"):
-        n = n or DEFAULT_N_1D
-    else:
-        n = n or DEFAULT_N_2D
+    if n is None:
+        n = DEFAULT_N_1D if name in ("fig1", "fig2", "fig3") else DEFAULT_N_2D
     if name == "fig1":
         return _run_fig1(seed, n, outdir)
     if name == "fig2":

@@ -1,9 +1,9 @@
-"""Discrete differential operators: banded 1D second-derivative matrices and
-2D five-point Laplacians with Neumann / Dirichlet boundary closures."""
+"""Discrete differential operators: 1D second-derivative matrices and the
+lagged-diffusivity matrix in LAPACK band storage, and 2D five-point
+Laplacians with Neumann / Dirichlet boundary closures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,65 +29,37 @@ class Stencil2DKind(Enum):
     DIRICHLET_ZERO = "dirichlet-zero"
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
-    """Symmetric-storage banded matrix.
-
-    ``bands`` maps a diagonal offset k to the array of entries M[r, r+k];
-    for k >= 0 entry m of the band is M[m, m+k], for k < 0 it is M[m+|k|, m].
-    """
-
-    n: int
-    bands: tuple[tuple[int, np.ndarray], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
-        seen = set()
-        clean = []
-        for offset, values in self.bands:
-            values = np.asarray(values, dtype=float)
-            if offset in seen:
-                raise ValueError(f"duplicate band offset {offset}")
-            seen.add(offset)
-            if abs(offset) >= self.n:
-                raise ValueError(f"band offset {offset} out of range for n={self.n}")
-            if values.size != self.n - abs(offset):
-                raise ValueError(
-                    f"band {offset} has length {values.size}, "
-                    f"expected {self.n - abs(offset)}"
-                )
-            clean.append((int(offset), values))
-        clean.sort(key=lambda kv: kv[0])
-        object.__setattr__(self, "bands", tuple(clean))
-
-
-def _second_difference(n_interior: int, h: float, end: float) -> BandedMatrix:
+def _second_difference(n_interior: int, h: float, end: float) -> np.ndarray:
     # (1/h^2) * tridiag(1, -2, 1) with `end` as the first and last diagonal entry
     if n_interior < 2:
         raise ValueError(f"need at least 2 nodes, got {n_interior}")
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
     scale = 1.0 / (h * h)
-    diag = np.full(n_interior, -2.0)
-    diag[0] = diag[-1] = end
-    off = np.ones(n_interior - 1)
-    return BandedMatrix(
-        n_interior, ((-1, off * scale), (0, diag * scale), (1, off * scale)))
+    ab = np.zeros((3, n_interior))
+    ab[0, 1:] = ab[2, :-1] = scale
+    ab[1] = -2.0 * scale
+    ab[1, 0] = ab[1, -1] = end * scale
+    return ab
 
 
-def build_d0(n_interior: int, h: float) -> BandedMatrix:
-    """Second-derivative matrix with zero-slope ends.
+def build_d0(n_interior: int, h: float) -> np.ndarray:
+    """Second-derivative matrix with zero-slope ends, in band storage.
 
     (1/h^2) * tridiag(1, -2, 1) with first row (-1, 1, ...) and last row
     (..., 1, -1) from eliminating the ghost values u[-1] = u[0] and
     u[n] = u[n-1].  Symmetric; every row sums to zero.
+
+    Band storage is the layout of scipy.linalg.solve_banded: a matrix with w
+    sub- and w super-diagonals is held as a (2w + 1, n) array ab with
+    ab[w + i - j, j] = A[i, j], and the corners outside the matrix are zero.
     """
     return _second_difference(n_interior, h, -1.0)
 
 
-def build_d1(n_interior: int, h: float) -> BandedMatrix:
-    """Second-derivative matrix with zero-value ends.
+def build_d1(n_interior: int, h: float) -> np.ndarray:
+    """Second-derivative matrix with zero-value ends, in band storage (see
+    build_d0).
 
     (1/h^2) * tridiag(1, -2, 1); the first and last rows keep the full -2
     diagonal because the neighbouring boundary values are zero.  Symmetric
@@ -96,67 +68,63 @@ def build_d1(n_interior: int, h: float) -> BandedMatrix:
     return _second_difference(n_interior, h, -2.0)
 
 
-def apply_banded(m: BandedMatrix, x: np.ndarray) -> np.ndarray:
-    """y = M @ x in O(bandwidth * n)."""
+def build_lagged_1d(g: np.ndarray, h: float, lam: float) -> np.ndarray:
+    """D1 diag(g) D0 + lam I in band storage (see build_d0): pentadiagonal.
+
+    Each band is written in closed form, with its products summed in the
+    order of the banded product D1 (diag(g) D0).
+    """
+    g = np.asarray(g, dtype=float)
+    d0 = build_d0(g.size, h)[1]  # also checks the size and the spacing
+    s = 1.0 / (h * h)
+    gs = g * s
+    gd = g * d0
+    ab = np.zeros((5, g.size))
+    ab[0, 2:] = ab[4, :-2] = s * gs[1:-1]
+    ab[1, 1:] = (-2.0 * s) * gs[:-1] + s * gd[1:]  # A[r, r+1]
+    ab[3, :-1] = s * gd[:-1] + (-2.0 * s) * gs[1:]  # A[r+1, r]
+    diag = ab[2]
+    diag[1:] += s * gs[:-1]
+    diag += (-2.0 * s) * gd
+    diag[:-1] += s * gs[1:]
+    diag += lam
+    return ab
+
+
+def _half_bandwidth(ab: np.ndarray, x: np.ndarray) -> int:
+    # w of a (2w + 1, n) band storage, checked against the operand x
+    if ab.ndim != 2 or ab.shape[0] % 2 == 0 or x.shape != (ab.shape[1],):
+        raise ValueError(
+            f"band storage of shape {ab.shape} does not fit an operand of "
+            f"shape {x.shape}: need (2w + 1, n) storage and an (n,) operand")
+    return ab.shape[0] // 2
+
+
+def apply_banded(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y = A @ x for A in band storage (see build_d0), in O(w * n)."""
+    ab = np.asarray(ab, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.n,):
-        raise ValueError(f"operand has shape {x.shape}, matrix expects ({m.n},)")
-    y = np.zeros(m.n)
-    for k, v in m.bands:
+    w = _half_bandwidth(ab, x)
+    n = x.size
+    y = np.zeros(n)
+    # A[r, r+k] = ab[w - k, r + k]; the offsets ascend, which fixes the
+    # rounding of the sum
+    for k in range(-w, w + 1):
         if k >= 0:
-            y[: m.n - k] += v * x[k:]
+            y[: n - k] += ab[w - k, k:] * x[k:]
         else:
-            y[-k:] += v * x[: m.n + k]
+            y[-k:] += ab[w - k, : n + k] * x[: n + k]
     return y
 
 
-def matmul_banded(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
-    """Banded product C = A @ B; offsets add, bandwidths add."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    out: dict[int, np.ndarray] = {}
-    for k1, v1 in a.bands:
-        for k2, v2 in b.bands:
-            k = k1 + k2
-            if abs(k) >= n:
-                continue
-            r_lo = max(0, -k1, -k)
-            r_hi = min(n - 1, n - 1 - k1, n - 1 - k)
-            if r_lo > r_hi:
-                continue
-            rows = slice(r_lo, r_hi + 1)
-            dest = out.setdefault(k, np.zeros(n - abs(k)))
-            # C[r, r+k] += A[r, r+k1] * B[r+k1, r+k]
-            m = slice(r_lo + min(0, k), r_hi + 1 + min(0, k))
-            m1 = slice(r_lo + min(0, k1), r_hi + 1 + min(0, k1))
-            m2 = slice(r_lo + min(k1, k), r_hi + 1 + min(k1, k))
-            dest[m] += v1[m1] * v2[m2]
-    bands = tuple((k, v) for k, v in sorted(out.items()))
-    return BandedMatrix(n, bands)
-
-
-def _to_lapack_banded(m: BandedMatrix) -> tuple[tuple[int, int], np.ndarray]:
-    l = max((-k for k, _ in m.bands), default=0)
-    u = max((k for k, _ in m.bands), default=0)
-    l, u = max(l, 0), max(u, 0)
-    ab = np.zeros((l + u + 1, m.n))
-    for k, v in m.bands:
-        if k >= 0:
-            ab[u - k, k:] = v
-        else:
-            ab[u - k, : m.n + k] = v
-    return (l, u), ab
-
-
-def solve_banded(m: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs by banded LU with partial pivoting within the band."""
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for A in band storage (see build_d0) by banded LU with
+    partial pivoting within the band."""
+    ab = np.asarray(ab, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (m.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, matrix expects ({m.n},)")
-    lu, ab = _to_lapack_banded(m)
+    w = _half_bandwidth(ab, rhs)
     try:
-        x = scipy.linalg.solve_banded(lu, ab, rhs, check_finite=False)
+        x = scipy.linalg.solve_banded((w, w), ab, rhs, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(str(err)) from err
     if not np.all(np.isfinite(x)):

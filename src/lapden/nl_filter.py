@@ -5,22 +5,24 @@ the double-Laplacian analogue in 2D), which solves the fourth-order
 stationary filter equation.  F saturates large curvature, so
 discontinuities survive while oscillatory noise is diffused away.
 
-Both dimensions follow one path rule (_evolve).  A fixed time step, or
-lambda = 0 without a noise target, takes explicit Euler steps
-(_time_steps).  Otherwise the equilibrium is reached without time stepping,
-by the lagged-diffusivity fixed point of Vogel & Oman, "Iterative methods
-for total variation denoising", SIAM J. Sci. Comput. 17 (1996): writing
-F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer step freezes g at
-w = L_N u and takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I and r
-the stationary residual.  L_N and L_D are the dimension's zero-slope and
-zero-value Laplacians: D0 and D1 in 1D, five-point stencils in 2D.
-_lagged_filter forms r and the loop is core._lagged, which the TV baseline
-runs too; only the inner solve differs between the dimensions.  In 1D A is
-pentadiagonal and is solved exactly by banded LU.  In 2D A is too large for
-that and non-symmetric (the mirror and zero-boundary Laplacians differ), so
-A^-1 r is approximated by one cycle of right-preconditioned GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, with the
-fast-transform preconditioner max(g) (L_row + L_col)^2 + lambda I.
+Both dimensions follow one path rule (_evolve) and take their pair of
+Laplacians from one place (_laplacians).  A fixed time step, or lambda = 0
+without a noise target, takes explicit Euler steps (_explicit).  Otherwise
+the equilibrium is reached without time stepping, by the lagged-diffusivity
+fixed point of Vogel & Oman, "Iterative methods for total variation
+denoising", SIAM J. Sci. Comput. 17 (1996): writing F(w) = g(w) w with
+g = (w^2 + epsilon)^-p > 0, each outer step freezes g at w = L_N u and takes
+u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I and r the stationary
+residual.  L_N and L_D are the dimension's zero-slope and zero-value
+Laplacians: D0 and D1 in 1D, five-point stencils in 2D.  _lagged_filter
+forms r and the loop is core._lagged, which the TV baseline runs too; only
+the inner solve differs between the dimensions.  In 1D A is pentadiagonal,
+is written band by band in closed form (grid_ops.build_lagged_1d) and is
+solved exactly by banded LU.  In 2D A is too large for that and
+non-symmetric (the mirror and zero-boundary Laplacians differ), so A^-1 r is
+approximated by one cycle of right-preconditioned GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, with the fast-transform
+preconditioner max(g) (L_row + L_col)^2 + lambda I.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ import scipy.linalg
 from .core import DivergenceError, Field2D, RunTrace, Signal1D, _lagged, _Recorder, \
     _stationary_ok, require_finite
 from .grid_ops import (
-    BandedMatrix,
     Stencil2DKind,
     apply_banded,
     build_d0,
     build_d1,
+    build_lagged_1d,
     laplacian_2d_values,
-    matmul_banded,
     solve_banded,
 )
 
@@ -69,11 +70,12 @@ class FilterParams:
     target_delta set selects lagged diffusivity (see the module docstring),
     and a run converges once the stationary residual r satisfies
     ||r|| <= 10 tol lam ||u - u0||, as for the TV baseline.  A fixed dt, or
-    lam = 0 without target_delta, takes explicit Euler steps of that size (an
-    automatic stable size when dt is None); there the same bound is checked
-    once the relative update rate ||u_{n+1} - u_n|| / (dt ||u0||) is at most
-    tol.  solver is accepted for compatibility and has no effect: dt, lam
-    and target_delta choose the path.  All float knobs must be finite.
+    lam = 0 without target_delta, takes explicit Euler steps of that size (a
+    safe fraction of stable_step_bound when dt is None, smaller in 2D than
+    in 1D; see _explicit); there the same bound is checked once the relative
+    update rate ||u_{n+1} - u_n|| / (dt ||u0||) is at most tol.  solver is
+    accepted for compatibility and has no effect: dt, lam and target_delta
+    choose the path.  All float knobs must be finite.
     """
 
     lam: float = 1.0
@@ -134,25 +136,32 @@ def _check_same_grid(u: Signal1D, u0: Signal1D):
         )
 
 
-def _diffusion_1d(values: np.ndarray, d0: BandedMatrix, d1: BandedMatrix,
-                  epsilon: float, p: float) -> np.ndarray:
-    """D1 F(u): the stationary equation's diffusion term."""
-    return apply_banded(d1, flux(apply_banded(d0, values), epsilon, p))
+def _laplacians(shape: tuple[int, ...], h: float):
+    """The dimension's two Laplacians (inner, outer), as functions of an array.
+
+    inner has zero-slope ends and outer zero-value ends: D0 and D1 in 1D, the
+    mirror and zero-boundary five-point stencils in 2D.  The lambdas look
+    apply_banded and laplacian_2d_values up when called, so a tracer that
+    replaces them on this module sees every call.
+    """
+    if len(shape) == 1:
+        d0, d1 = build_d0(shape[0], h), build_d1(shape[0], h)
+        return lambda x: apply_banded(d0, x), lambda x: apply_banded(d1, x)
+    return (lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
+            lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO))
+
+
+def _diffusion(values: np.ndarray, h: float, epsilon: float, p: float) -> np.ndarray:
+    """outer(F(inner(u))): the stationary equation's diffusion term."""
+    inner, outer = _laplacians(values.shape, h)
+    return outer(flux(inner(values), epsilon, p))
 
 
 def rhs_1d(u: Signal1D, u0: Signal1D, params: FilterParams) -> np.ndarray:
     """-D1 F(u) - lam (u - u0) on the shared grid of u and u0."""
     _check_same_grid(u, u0)
-    d0 = build_d0(len(u), u.h)
-    d1 = build_d1(len(u), u.h)
-    diffusion = _diffusion_1d(u.values, d0, d1, params.epsilon, params.p)
+    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return -diffusion - params.lam * (u.values - u0.values)
-
-
-def _diffusion_2d(values: np.ndarray, h: float, epsilon: float, p: float) -> np.ndarray:
-    """Outer Laplacian (zero-boundary) of the flux of the inner Laplacian (mirror)."""
-    inner = laplacian_2d_values(values, h, Stencil2DKind.NEUMANN_MIRROR)
-    return laplacian_2d_values(flux(inner, epsilon, p), h, Stencil2DKind.DIRICHLET_ZERO)
 
 
 def rhs_2d(u: Field2D, u0: Field2D, params: FilterParams) -> Field2D:
@@ -162,7 +171,7 @@ def rhs_2d(u: Field2D, u0: Field2D, params: FilterParams) -> Field2D:
             f"fields disagree: {u.values.shape} at h={u.h} vs "
             f"{u0.values.shape} at h={u0.h}"
         )
-    diffusion = _diffusion_2d(u.values, u.h, params.epsilon, params.p)
+    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return u.with_values(-diffusion - params.lam * (u.values - u0.values))
 
 
@@ -179,11 +188,7 @@ def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
         raise ValueError("adaptive lambda needs params.target_delta")
     if isinstance(u, Signal1D):
         _check_same_grid(u, u0)
-        d0 = build_d0(len(u), u.h)
-        d1 = build_d1(len(u), u.h)
-        diffusion = _diffusion_1d(u.values, d0, d1, params.epsilon, params.p)
-    else:
-        diffusion = _diffusion_2d(u.values, u.h, params.epsilon, params.p)
+    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return _lambda_estimate(u.values - u0.values, diffusion, params.target_delta)
 
 
@@ -232,45 +237,25 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     no lagged step.
     """
     lagged = params.dt is None and (params.target_delta is not None or params.lam > 0)
-    if u.ndim == 1:
-        path = _lagged_1d if lagged else _explicit_1d
-    else:
-        path = _lagged_2d if lagged else _explicit_2d
+    path = _lagged_filter if lagged else _explicit
     return path(u0v, u, h, params)
 
 
-def _explicit_1d(u0v: np.ndarray, u: np.ndarray, h: float,
-                 params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Explicit Euler from u to the 1D equilibrium of the data u0v."""
-    d0, d1 = build_d0(u.size, h), build_d1(u.size, h)
-    return _time_steps(u0v, u, h, params, lambda x: apply_banded(d0, x),
-                       lambda x: apply_banded(d1, x), _SAFETY)
-
-
-def _explicit_2d(u0v: np.ndarray, u: np.ndarray, h: float,
-                 params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Explicit Euler from u to the 2D equilibrium of the data u0v; the 2D
-    five-point operators have twice the 1D norm, so the automatic step is a
-    quarter of the 1D stability bound."""
-    return _time_steps(
-        u0v, u, h, params,
-        lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
-        lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO),
-        _SAFETY / 4.0)
-
-
-def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
-                inner, outer, safety: float) -> tuple[np.ndarray, RunTrace]:
+def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
+              params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Explicit Euler time steps from u to the equilibrium of the data u0v.
 
-    inner and outer are the dimension's two Laplacians (zero-slope inside,
-    zero-value outside), so that diffusion = outer(F(inner(u))).  The step
-    is params.dt, or else safety times stable_step_bound at the current lam.
-    The diffusion at u_{n+1} is computed once and serves both the
-    stationarity check and the next step.  A step whose update rate
+    diffusion = outer(F(inner(u))) with the dimension's _laplacians.  The
+    step is params.dt, or else a safety factor times stable_step_bound at
+    the current lam: _SAFETY in 1D, and a quarter of it in 2D, where the
+    five-point operators have twice the 1D norm.  The diffusion at u_{n+1}
+    is computed once and serves both the stationarity check and the next
+    step.  A step whose update rate
     ||u_{n+1} - u_n|| / dt is at most tol ||u0|| has the stationary
     equation checked; see RunTrace for what is recorded.
     """
+    inner, outer = _laplacians(u.shape, h)
+    safety = _SAFETY / 4 ** (u.ndim - 1)
     adaptive = params.target_delta is not None
     lam = _LAMBDA_INIT if adaptive else params.lam
     norm_u0 = float(np.linalg.norm(u0v))
@@ -310,8 +295,8 @@ def _time_steps(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
 def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors (the DCT-II basis) of the
     tridiagonal build_d0 matrix."""
-    bands = dict(build_d0(n, h).bands)
-    return scipy.linalg.eigh_tridiagonal(bands[0], bands[1])
+    ab = build_d0(n, h)
+    return scipy.linalg.eigh_tridiagonal(ab[1], ab[0, 1:])
 
 
 def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
@@ -358,14 +343,16 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
     return precond(y @ basis[:size])
 
 
-def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParams,
-                   inner, outer, solve) -> tuple[np.ndarray, RunTrace]:
+def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float,
+                   params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Lagged diffusivity from u to the equilibrium of the data u0v.
 
-    inner and outer are the dimension's Laplacians, as for _time_steps.
-    solve(g, lam, r) returns (an approximation of) A^-1 r for the frozen
-    matrix A = outer diag(g) inner + lam I.
+    inner and outer are the dimension's _laplacians.  solve(g, lam, r), from
+    _lagged_1d or _lagged_2d, returns (an approximation of) A^-1 r for the
+    frozen matrix A = outer diag(g) inner + lam I.
     """
+    inner, outer = _laplacians(u.shape, h)
+    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h, inner, outer)
     adaptive = params.target_delta is not None
     lam0 = _LAMBDA_INIT if adaptive else params.lam
     cell = h ** u.ndim
@@ -386,37 +373,19 @@ def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float, params: FilterParam
     return _lagged(u0v, u, h, params.tol, params.max_iters, residual, frozen_solve)
 
 
-def _lagged_1d(u0v: np.ndarray, u: np.ndarray, h: float,
-               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Lagged diffusivity in 1D, where A = D1 diag(g) D0 + lam I is
-    pentadiagonal and is solved exactly."""
-    n = u.size
-    d0, d1 = build_d0(n, h), build_d1(n, h)
-
-    def solve(g, lam, r):
-        a = matmul_banded(d1, matmul_banded(BandedMatrix(n, ((0, g),)), d0))
-        bands = dict(a.bands)
-        # a zero lam estimate would leave the constant mode without a pivot;
-        # the initial weight then stands in
-        bands[0] = bands[0] + (lam if lam > 0 else _LAMBDA_INIT)
-        return solve_banded(BandedMatrix(n, tuple(bands.items())), r)
-
-    return _lagged_filter(u0v, u, h, params, lambda x: apply_banded(d0, x),
-                          lambda x: apply_banded(d1, x), solve)
+def _lagged_1d(h: float):
+    """The 1D inner solve: A = D1 diag(g) D0 + lam I is pentadiagonal and is
+    solved exactly."""
+    # a zero lam estimate would leave the constant mode without a pivot; the
+    # initial weight then stands in
+    return lambda g, lam, r: solve_banded(
+        build_lagged_1d(g, h, lam if lam > 0 else _LAMBDA_INIT), r)
 
 
-def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
-               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Lagged diffusivity in 2D, with one GMRES cycle as the inner solve."""
-    shape = u.shape
+def _lagged_2d(shape: tuple[int, int], h: float, inner, outer):
+    """The 2D inner solve: one cycle of preconditioned GMRES."""
     (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
-
-    def inner(x):
-        return laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR)
-
-    def outer(x):
-        return laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO)
 
     def solve(g, lam, r):
         # a zero lam estimate would leave the constant mode without a
@@ -433,4 +402,4 @@ def _lagged_2d(u0v: np.ndarray, u: np.ndarray, h: float,
 
         return _gmres(matvec, precond, r.ravel()).reshape(shape)
 
-    return _lagged_filter(u0v, u, h, params, inner, outer, solve)
+    return solve

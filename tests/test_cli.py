@@ -234,6 +234,13 @@ class TestExperiment:
         code = main(["experiment", "fig9", "--outdir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    def test_zero_size_is_rejected(self, tmp_path, capsys, name):
+        # n = 0 is a size like any other, not "use the default"
+        code = main(["experiment", name, "--n", "0", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "need n >= 4, got 0" in capsys.readouterr().err
+
     def test_fig1_writes_artifacts_and_report(self, tmp_path):
         code = main(["experiment", "fig1", "--seed", "7",
                      "--outdir", str(tmp_path)])

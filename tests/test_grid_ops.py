@@ -1,26 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
 from lapden import (
-    BandedMatrix,
     Field2D,
     SingularSystemError,
     Stencil2DKind,
     apply_banded,
     build_d0,
     build_d1,
-    matmul_banded,
     solve_banded,
     laplacian_2d,
 )
+from lapden.grid_ops import build_lagged_1d
 
 
-def banded_to_dense(m: BandedMatrix) -> np.ndarray:
-    out = np.zeros((m.n, m.n))
-    for k, v in m.bands:
-        for i, val in enumerate(v):
-            r, c = (i, i + k) if k >= 0 else (i - k, i)
-            out[r, c] = val
+def banded_to_dense(ab: np.ndarray) -> np.ndarray:
+    # band storage: ab[w + i - j, j] = A[i, j]
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - w), min(n, i + w + 1)):
+            out[i, j] = ab[w + i - j, j]
     return out
 
 
@@ -95,7 +97,7 @@ class TestBuildD1:
 
 class TestApplyBanded:
     def test_identity(self):
-        ident = BandedMatrix(4, ((0, np.ones(4)),))
+        ident = np.ones((1, 4))
         x = np.array([3.0, -1.0, 0.5, 9.0])
         assert np.array_equal(apply_banded(ident, x), x)
 
@@ -107,9 +109,8 @@ class TestApplyBanded:
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(3, 12))
-            offsets = sorted(rng.choice(range(-2, 3), size=3, replace=False))
-            bands = tuple((int(k), rng.normal(size=n - abs(k))) for k in offsets)
-            m = BandedMatrix(n, bands)
+            w = int(rng.integers(0, 3))
+            m = rng.normal(size=(2 * w + 1, n))
             x = rng.normal(size=n)
             assert np.allclose(apply_banded(m, x), banded_to_dense(m) @ x,
                                rtol=0, atol=1e-14)
@@ -127,19 +128,16 @@ class TestApplyBanded:
         assert np.allclose(lhs, apply_banded(d0, x), rtol=0, atol=1e-12)
 
 
-class TestMatmulBanded:
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(3)
-        for n in (3, 5, 9):
-            a, b = build_d1(n, 1.0), build_d0(n, 1.0)
-            assert np.allclose(banded_to_dense(matmul_banded(a, b)),
-                               banded_to_dense(a) @ banded_to_dense(b),
-                               rtol=0, atol=1e-12)
-            bands = tuple((k, rng.normal(size=n - abs(k))) for k in (-1, 0, 2))
-            c = BandedMatrix(n, bands)
-            assert np.allclose(banded_to_dense(matmul_banded(c, b)),
-                               banded_to_dense(c) @ banded_to_dense(b),
-                               rtol=0, atol=1e-12)
+class TestBuildLagged1D:
+    @pytest.mark.parametrize("h", [1.0, 0.37])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_matches_dense_product(self, n, h):
+        g = np.random.default_rng(3).uniform(0.1, 10.0, size=n)
+        expect = dense_d1(n, h) @ np.diag(g) @ dense_d0(n, h) + 0.7 * np.eye(n)
+        ab = build_lagged_1d(g, h, 0.7)
+        assert ab.shape == (5, n)
+        assert np.allclose(banded_to_dense(ab), expect,
+                           rtol=1e-13, atol=1e-13 * np.abs(expect).max())
 
 
 def gaussian_elimination(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,18 +160,12 @@ def gaussian_elimination(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class TestSolveBanded:
-    def _system(self, n: int, dt: float) -> BandedMatrix:
-        penta = matmul_banded(build_d1(n, 1.0), build_d0(n, 1.0))
-        bands = []
-        for k, v in penta.bands:
-            vv = dt * v
-            if k == 0:
-                vv = vv + 1.0
-            bands.append((k, vv))
-        return BandedMatrix(n, tuple(bands))
+    def _system(self, n: int, dt: float) -> np.ndarray:
+        # I + dt D1 D0
+        return build_lagged_1d(np.full(n, dt), 1.0, 1.0)
 
     def test_identity_solve(self):
-        ident = BandedMatrix(5, ((0, np.ones(5)),))
+        ident = np.ones((1, 5))
         rhs = np.array([1.0, -2.0, 3.0, 0.0, 5.0])
         assert np.array_equal(solve_banded(ident, rhs), rhs)
 
@@ -192,7 +184,7 @@ class TestSolveBanded:
         assert np.allclose(solve_banded(m, rhs), expect, rtol=1e-12, atol=1e-12)
 
     def test_singular_raises(self):
-        zero = BandedMatrix(3, ((0, np.zeros(3)),))
+        zero = np.zeros((1, 3))
         with pytest.raises(SingularSystemError):
             solve_banded(zero, np.ones(3))
 
@@ -262,11 +254,15 @@ class TestLaplacian2D:
                                       padded_formula(u, h))
 
 
-class TestBandedMatrixValidation:
-    def test_band_length_checked(self):
-        with pytest.raises(ValueError):
-            BandedMatrix(4, ((0, np.ones(3)),))
-
-    def test_duplicate_offset_rejected(self):
-        with pytest.raises(ValueError):
-            BandedMatrix(3, ((0, np.ones(3)), (0, np.ones(3))))
+class TestBandStorageChecks:
+    @pytest.mark.parametrize("func", [apply_banded, solve_banded])
+    @pytest.mark.parametrize("storage, operand", [
+        ((9,), (9,)),
+        ((2, 9), (9,)),
+        ((3, 9), (8,)),
+    ], ids=["not-2d", "even-rows", "column-count"])
+    def test_rejects_bad_storage(self, func, storage, operand):
+        # the message names both shapes
+        pattern = f"{re.escape(str(storage))}.*{re.escape(str(operand))}"
+        with pytest.raises(ValueError, match=pattern):
+            func(np.ones(storage), np.ones(operand))

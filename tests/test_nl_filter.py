@@ -145,8 +145,8 @@ class TestStableStepBound:
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         params = FilterParams(lam=1.0, max_iters=10_000, tol=1e-300)
-        _, trace = nl_filter._explicit_1d(noisy.values, noisy.values.copy(),
-                                          noisy.h, params)
+        _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
+                                       noisy.h, params)
         r = trace.residual_history
         ratios = r[1:] / np.maximum(r[:-1], 1e-300)
         assert ratios.max() <= 10.0
@@ -218,7 +218,7 @@ class TestDenoise1D:
         raw = gaussian_noise(51, NoiseSpec(seed=3, delta_rel=0))
         u0 = Signal1D(np.convolve(raw, np.ones(7) / 7, mode="same"))
         params = FilterParams(lam=0.5, tol=1e-8, max_iters=500_000)
-        ue, te = nl_filter._explicit_1d(u0.values, u0.values.copy(), u0.h, params)
+        ue, te = nl_filter._explicit(u0.values, u0.values.copy(), u0.h, params)
         ul, tl = denoise_1d(u0, params)
         assert te.converged and tl.converged
         assert te.dt_used is not None and tl.dt_used is None
@@ -272,8 +272,8 @@ class TestDenoise1D:
         monkeypatch.setattr(nl_filter, "flux", counting)
         params = replace(NLAP_1D, target_delta=delta)
         if path == "explicit":
-            _, trace = nl_filter._explicit_1d(noisy.values, noisy.values.copy(),
-                                              noisy.h, params)
+            _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
+                                           noisy.h, params)
             assert len(calls) == trace.iters_run + 1
         else:
             _, trace = denoise_1d(noisy, params)
@@ -329,8 +329,8 @@ class TestLagged2D:
     def test_agrees_with_explicit_equilibrium(self, lam):
         _, noisy, _ = noisy_f2d(32, seed=3)
         params = FilterParams(lam=lam)
-        ue, te = nl_filter._explicit_2d(noisy.values, noisy.values.copy(),
-                                        noisy.h, params)
+        ue, te = nl_filter._explicit(noisy.values, noisy.values.copy(),
+                                     noisy.h, params)
         ul, tl = denoise_2d(noisy, params)
         assert te.converged and tl.converged
         assert te.dt_used is not None and tl.dt_used is None
@@ -380,7 +380,7 @@ class TestLagged2D:
         f = Field2D(np.eye(5))
         params = FilterParams(max_iters=3, tol=1e-300, **knobs)
         restored, trace = denoise_2d(f, params)
-        expect, _ = nl_filter._explicit_2d(f.values, f.values.copy(), f.h, params)
+        expect, _ = nl_filter._explicit(f.values, f.values.copy(), f.h, params)
         assert np.array_equal(restored.values, expect)
         assert trace.dt_used is not None
 
@@ -439,8 +439,8 @@ class TestLagged1D:
         u0 = noise_signal(12, seed=17)
         params = FilterParams(max_iters=3, tol=1e-300, **knobs)
         restored, trace = denoise_1d(u0, params)
-        expect, _ = nl_filter._explicit_1d(u0.values, u0.values.copy(), u0.h,
-                                           params)
+        expect, _ = nl_filter._explicit(u0.values, u0.values.copy(), u0.h,
+                                        params)
         assert np.array_equal(restored.values, expect)
         assert trace.dt_used is not None
 
