@@ -46,20 +46,15 @@ def _add_common_flags(sub, tv: bool):
                               "solves the equilibrium by lagged diffusivity "
                               "instead, except with --lambda 0, where it "
                               "picks a stable step")
-        sub.add_argument("--tol", type=float, default=1e-6,
-                         help="stationarity tolerance: stop once the residual "
-                              "is at most 10*tol*lambda*||u - u0||; explicit "
-                              "Euler also waits for the relative update rate "
-                              "to reach tol (default 1e-6)")
     else:
         sub.add_argument("--beta", type=float, default=1e-6,
                          help="gradient regularizer (default 1e-6)")
-        sub.add_argument("--tol", type=float, default=1e-6,
-                         help="stationarity tolerance: stop once the residual "
-                              "is at most 10*tol*lambda*||u - u0|| "
-                              "(default 1e-6)")
+    sub.add_argument("--tol", type=float, default=1e-6,
+                     help="stationarity tolerance: stop once the residual "
+                          "is at most 10*tol*lambda*||u - u0|| (default 1e-6)")
     sub.add_argument("--iters", type=int, default=200_000,
-                     help="iteration cap (default 200000)")
+                     help="cap on the corrections (iterations) taken "
+                          "(default 200000)")
     sub.add_argument("--plot", type=Path, default=None,
                      help="write an SVG of noisy vs restored")
     sub.add_argument("--report", type=Path, default=None,

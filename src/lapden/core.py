@@ -1,6 +1,7 @@
 """Shared value types (sampled signals, sampled fields, run diagnostics) and
-the lagged-diffusivity loop shared by the nonlinear filter, in 1D and 2D, and
-the TV baseline."""
+the one iteration loop that every solver runs: the nonlinear filter, in 1D
+and 2D, by lagged diffusivity or by explicit Euler steps, and the TV
+baseline."""
 
 from __future__ import annotations
 
@@ -22,6 +23,14 @@ def require_finite(params, *names: str) -> None:
         value = getattr(params, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_same_grid(u: Signal1D | Field2D, u0: Signal1D | Field2D) -> None:
+    """Reject a pair of signals or fields that are not sampled on one grid."""
+    if u.values.shape != u0.values.shape or u.h != u0.h:
+        kind = "signals" if u.values.ndim == 1 else "fields"
+        raise ValueError(f"{kind} disagree: {u.values.shape} at h={u.h} vs "
+                         f"{u0.values.shape} at h={u0.h}")
 
 
 def _as_float_array(values, ndim: int) -> np.ndarray:
@@ -104,31 +113,21 @@ class Field2D:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration diagnostics of an evolution run.
+    """Per-iteration diagnostics of an evolution run (core._iterate).
 
-    Two loops produce it, with different conventions.
-
-    Time stepping (nl_filter._explicit: explicit Euler for the nonlinear
-    filter with a fixed dt, or with lam = 0 and no target_delta) records
-    entry k after step k: residual_history[k] is the update rate
-    ||u_{k+1} - u_k|| / dt, fidelity_history[k] is ||u_{k+1} - u0||,
-    lambda_history[k] the fidelity weight used for step k,
-    energy_history[k] a discrete energy proxy (monitored as a diagnostic
-    only; the semi-discrete system is not an exact gradient flow), and
-    dt_used the last step size.
-
-    Lagged diffusivity (_lagged: the TV baseline, and the nonlinear filter
-    in 1D and 2D otherwise; no time step) records entry k before step k: it
-    describes the k-th iterate u_k that the stop rule checked, with u_0 the
-    starting state (the data, or the warm start) and the last entry the
-    returned iterate and the lam it was certified with.
+    Entry k describes the k-th iterate u_k that the stop rule checked: u_0 is
+    the starting state (the data, or the warm start) and the last entry is
+    the returned iterate and the lam it was checked with, so iters_run is
+    one more than the number of corrections taken.
     residual_history[k] is the stationary residual ||r(u_k)|| (TV:
     r = div(grad u / |grad u|_beta) - lam (u - u0); nonlinear filter:
     r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||,
     lambda_history[k] the lam of that check (re-estimated from u_k in
-    adaptive mode), energy_history[k] the regularized ROF energy of u_k (a
-    per-axis proxy in 2D) or the nonlinear filter's energy proxy, and
-    dt_used is None.
+    adaptive mode), and energy_history[k] the regularized ROF energy of u_k
+    (a per-axis proxy in 2D) or the nonlinear filter's energy proxy (a
+    diagnostic only; the semi-discrete system is not an exact gradient
+    flow).  dt_used is the explicit Euler step at the last lam, and None
+    for lagged diffusivity, which takes no time step.
     """
 
     iters_run: int
@@ -154,73 +153,47 @@ class RunTrace:
             raise ValueError("trace histories must all have length iters_run")
 
 
-class _Recorder:
-    """Accumulates per-step diagnostics and builds the RunTrace."""
-
-    def __init__(self):
-        self.residuals = []
-        self.fidelities = []
-        self.lambdas = []
-        self.energies = []
-        self.t0 = time.perf_counter()
-
-    def record(self, residual, fidelity, lam, energy):
-        self.residuals.append(residual)
-        self.fidelities.append(fidelity)
-        self.lambdas.append(lam)
-        self.energies.append(energy)
-
-    def finish(self, dt: float | None, converged: bool) -> RunTrace:
-        return RunTrace(
-            iters_run=len(self.residuals),
-            residual_history=np.array(self.residuals),
-            fidelity_history=np.array(self.fidelities),
-            lambda_history=np.array(self.lambdas),
-            energy_history=np.array(self.energies),
-            dt_used=dt,
-            converged=converged,
-            wall_seconds=time.perf_counter() - self.t0,
-        )
-
-
 def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
                    norm_u0: float) -> bool:
-    # converged runs must certify the stationary equation, not just a small
-    # update rate; an anchor at round-off scale (exact equilibria, lam = 0)
-    # falls back to an absolute bound
+    # converged runs certify the stationary equation; an anchor at round-off
+    # scale (exact equilibria, lam = 0) falls back to an absolute bound
     anchor = lam * fid_dist
     if anchor > 1e-13 * max(norm_u0, 1.0):
         return stat_norm <= 10.0 * tol * anchor
     return stat_norm <= tol * max(norm_u0, 1.0)
 
 
-def _lagged(u0v: np.ndarray, u: np.ndarray, h: float, tol: float,
-            max_iters: int, residual, solve) -> tuple[np.ndarray, RunTrace]:
-    """Lagged-diffusivity fixed point from u to the equilibrium of the data u0v.
+def _iterate(u0v: np.ndarray, u: np.ndarray, h: float, tol: float,
+             max_iters: int, residual, step) -> tuple[np.ndarray, RunTrace]:
+    """The iteration from u to the equilibrium of the data u0v, for every path.
 
     residual(u, it) returns (r, lam, regularizer_energy, frozen): the
     stationary residual r at u, the fidelity weight it was formed with, the
-    regularizer's energy at u, and the frozen state that solve needs.
-    solve(frozen, lam, r) returns A^-1 r for the operator A frozen at u, and
-    u <- u + A^-1 r is the correction step.  The run converges once
-    ||r|| <= 10 tol lam ||u - u0|| (see RunTrace for what is recorded).
+    regularizer's energy at u, and the frozen state that step needs.
+    step(frozen, lam, r) returns the correction: A^-1 r for the operator A
+    frozen at u (lagged diffusivity) or dt r (explicit Euler).  The run
+    converges once ||r|| <= 10 tol lam ||u - u0||, and stops unconverged
+    after max_iters corrections (see RunTrace for what is recorded).
     """
     norm_u0 = float(np.linalg.norm(u0v))
     cell = h ** u.ndim
-    rec = _Recorder()
+    rows = []
+    t0 = time.perf_counter()
     converged = False
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
+        for it in range(1, max_iters + 2):
             r, lam, energy, frozen = residual(u, it)
             stat = float(np.linalg.norm(r))
             if not math.isfinite(stat):
                 raise DivergenceError(f"non-finite values at iteration {it}")
             fid = float(np.linalg.norm(u - u0v))
-            rec.record(stat, fid, lam, energy + 0.5 * lam * fid * fid * cell)
+            rows.append((stat, fid, lam, energy + 0.5 * lam * fid * fid * cell))
             converged = _stationary_ok(stat, lam, fid, tol, norm_u0)
-            if converged or it == max_iters:
+            if converged or it > max_iters:
                 break
-            u = u + solve(frozen, lam, r)
+            u = u + step(frozen, lam, r)
 
-    return u, rec.finish(None, converged)
+    return u, RunTrace(len(rows), *np.array(rows).T, dt_used=None,
+                       converged=converged,
+                       wall_seconds=time.perf_counter() - t0)

@@ -106,24 +106,26 @@ def _write_field_pgm(path, field: Field2D) -> None:
     write_pgm(path, field.with_values(_field_to_unit(field.values)))
 
 
-def _instance_1d(sample, n: int, seed: int):
+def _instance_1d(sample, n: int, seed: int, outdir: Path):
     clean = sample(n)
     noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=DELTA_REL_1D))
     delta = float(np.linalg.norm(noisy.values - clean.values))
+    outdir.mkdir(parents=True, exist_ok=True)  # only once the size passed
     return clean, noisy, delta
 
 
-def _instance_2d(n: int, seed: int):
+def _instance_2d(n: int, seed: int, outdir: Path):
     clean = sample_f2d(n)
     noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=DELTA_REL_2D))
     delta = float(np.linalg.norm(noisy.values - clean.values))
+    outdir.mkdir(parents=True, exist_ok=True)
     return clean, noisy, delta
 
 
 def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
     rows = []
     for tag, sampler in (("f", sample_f_sine), ("g", sample_g_jumps)):
-        clean, noisy, _ = _instance_1d(sampler, n, seed)
+        clean, noisy, _ = _instance_1d(sampler, n, seed, outdir)
         tau = default_plateau_tau(clean)
         paths = [
             outdir / f"fig1_{tag}-clean_{seed}.csv",
@@ -145,7 +147,7 @@ def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
 
 def _run_1d_comparison(name: str, sampler, seed: int, n: int,
                        outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance_1d(sampler, n, seed)
+    clean, noisy, delta = _instance_1d(sampler, n, seed, outdir)
     tau = default_plateau_tau(clean)
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_1D, target_delta=delta)
@@ -182,7 +184,7 @@ def _run_1d_comparison(name: str, sampler, seed: int, n: int,
 
 
 def _run_fig4(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, _ = _instance_2d(n, seed)
+    clean, noisy, _ = _instance_2d(n, seed, outdir)
     tau = default_plateau_tau(clean)
     paths = [outdir / f"fig4_clean_{seed}.pgm", outdir / f"fig4_noisy_{seed}.pgm"]
     _write_field_pgm(paths[0], clean)
@@ -194,7 +196,7 @@ def _run_fig4(seed: int, n: int, outdir: Path) -> list[dict]:
 
 
 def _run_fig5(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance_2d(n, seed)
+    clean, noisy, delta = _instance_2d(n, seed, outdir)
     tau = default_plateau_tau(clean)
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_2D, target_delta=delta)
@@ -226,7 +228,6 @@ def run_experiment(name: str, seed: int, n: int | None, outdir) -> list[dict]:
         raise ValueError(f"unknown experiment {name!r}, expected one of "
                          f"{', '.join(EXPERIMENT_NAMES)}")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if n is None:
         n = DEFAULT_N_1D if name in ("fig1", "fig2", "fig3") else DEFAULT_N_2D
     if name == "fig1":

@@ -5,36 +5,37 @@ the double-Laplacian analogue in 2D), which solves the fourth-order
 stationary filter equation.  F saturates large curvature, so
 discontinuities survive while oscillatory noise is diffused away.
 
-Both dimensions follow one path rule (_evolve) and take their pair of
-Laplacians from one place (_laplacians).  A fixed time step, or lambda = 0
-without a noise target, takes explicit Euler steps (_explicit).  Otherwise
-the equilibrium is reached without time stepping, by the lagged-diffusivity
-fixed point of Vogel & Oman, "Iterative methods for total variation
-denoising", SIAM J. Sci. Comput. 17 (1996): writing F(w) = g(w) w with
-g = (w^2 + epsilon)^-p > 0, each outer step freezes g at w = L_N u and takes
-u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I and r the stationary
-residual.  L_N and L_D are the dimension's zero-slope and zero-value
-Laplacians: D0 and D1 in 1D, five-point stencils in 2D.  _lagged_filter
-forms r and the loop is core._lagged, which the TV baseline runs too; only
-the inner solve differs between the dimensions.  In 1D A is pentadiagonal,
-is written band by band in closed form (grid_ops.build_lagged_1d) and is
-solved exactly by banded LU.  In 2D A is too large for that and
-non-symmetric (the mirror and zero-boundary Laplacians differ), so A^-1 r is
-approximated by one cycle of right-preconditioned GMRES (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, with the fast-transform
-preconditioner max(g) (L_row + L_col)^2 + lambda I.
+Both dimensions follow one path rule (_evolve), take their pair of
+Laplacians from one place (_laplacians) and run one loop, core._iterate,
+which the TV baseline runs too.  _iterate_filter forms the stationary
+residual r; the two paths differ only in the correction step.  A fixed time
+step, or lambda = 0 without a noise target, takes explicit Euler steps
+u <- u + dt r (_explicit).  Otherwise the equilibrium is reached without
+time stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
+"Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
+(1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
+step freezes g at w = L_N u and takes u <- u + A^-1 r with
+A = L_D diag(g) L_N + lambda I (_lagged_filter).  L_N and L_D are the
+dimension's zero-slope and zero-value Laplacians: D0 and D1 in 1D,
+five-point stencils in 2D.  Only the inner solve differs between the
+dimensions.  In 1D A is pentadiagonal, is written band by band in closed
+form (grid_ops.build_lagged_1d) and is solved exactly by banded LU.  In 2D
+A is too large for that and non-symmetric (the mirror and zero-boundary
+Laplacians differ), so A^-1 r is approximated by one cycle of
+right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986), matrix-free, with the fast-transform preconditioner
+max(g) (L_row + L_col)^2 + lambda I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from .core import DivergenceError, Field2D, RunTrace, Signal1D, _lagged, _Recorder, \
-    _stationary_ok, require_finite
+from .core import Field2D, RunTrace, Signal1D, _iterate, require_finite, require_same_grid
 from .grid_ops import (
     Stencil2DKind,
     apply_banded,
@@ -68,12 +69,11 @@ class FilterParams:
     the plain sample 2-norm) is set it takes over and lam is re-estimated
     every iteration.  In 1D and 2D alike, dt=None with lam > 0 or
     target_delta set selects lagged diffusivity (see the module docstring),
-    and a run converges once the stationary residual r satisfies
-    ||r|| <= 10 tol lam ||u - u0||, as for the TV baseline.  A fixed dt, or
-    lam = 0 without target_delta, takes explicit Euler steps of that size (a
-    safe fraction of stable_step_bound when dt is None, smaller in 2D than
-    in 1D; see _explicit); there the same bound is checked once the relative
-    update rate ||u_{n+1} - u_n|| / (dt ||u0||) is at most tol.  solver is
+    and a fixed dt, or lam = 0 without target_delta, takes explicit Euler
+    steps of that size (a safe fraction of stable_step_bound when dt is
+    None, smaller in 2D than in 1D; see _explicit).  Every path converges
+    once the stationary residual r satisfies ||r|| <= 10 tol lam ||u - u0||,
+    as for the TV baseline, and max_iters caps the corrections.  solver is
     accepted for compatibility and has no effect: dt, lam and target_delta
     choose the path.  All float knobs must be finite.
     """
@@ -128,14 +128,6 @@ def stable_step_bound(h: float, epsilon: float, p: float, lam: float) -> float:
     return 2.0 / (16.0 * epsilon ** (-p) / h**4 + lam)
 
 
-def _check_same_grid(u: Signal1D, u0: Signal1D):
-    if len(u) != len(u0) or u.h != u0.h:
-        raise ValueError(
-            f"signals disagree: {len(u)} samples at h={u.h} vs "
-            f"{len(u0)} samples at h={u0.h}"
-        )
-
-
 def _laplacians(shape: tuple[int, ...], h: float):
     """The dimension's two Laplacians (inner, outer), as functions of an array.
 
@@ -159,18 +151,14 @@ def _diffusion(values: np.ndarray, h: float, epsilon: float, p: float) -> np.nda
 
 def rhs_1d(u: Signal1D, u0: Signal1D, params: FilterParams) -> np.ndarray:
     """-D1 F(u) - lam (u - u0) on the shared grid of u and u0."""
-    _check_same_grid(u, u0)
+    require_same_grid(u, u0)
     diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return -diffusion - params.lam * (u.values - u0.values)
 
 
 def rhs_2d(u: Field2D, u0: Field2D, params: FilterParams) -> Field2D:
     """2D evolution right-hand side; see rhs_1d for the 1D analogue."""
-    if u.values.shape != u0.values.shape or u.h != u0.h:
-        raise ValueError(
-            f"fields disagree: {u.values.shape} at h={u.h} vs "
-            f"{u0.values.shape} at h={u0.h}"
-        )
+    require_same_grid(u, u0)
     diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return u.with_values(-diffusion - params.lam * (u.values - u0.values))
 
@@ -186,8 +174,7 @@ def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
     """
     if params.target_delta is None:
         raise ValueError("adaptive lambda needs params.target_delta")
-    if isinstance(u, Signal1D):
-        _check_same_grid(u, u0)
+    require_same_grid(u, u0)
     diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return _lambda_estimate(u.values - u0.values, diffusion, params.target_delta)
 
@@ -241,55 +228,50 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     return path(u0v, u, h, params)
 
 
-def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
-              params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Explicit Euler time steps from u to the equilibrium of the data u0v.
+def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
+                    params: FilterParams, step) -> tuple[np.ndarray, RunTrace]:
+    """core._iterate from u to the equilibrium of the data u0v, on the
+    filter's stationary residual r = -outer(F(w)) - lam (u - u0), w = inner(u).
 
-    diffusion = outer(F(inner(u))) with the dimension's _laplacians.  The
-    step is params.dt, or else a safety factor times stable_step_bound at
-    the current lam: _SAFETY in 1D, and a quarter of it in 2D, where the
-    five-point operators have twice the 1D norm.  The diffusion at u_{n+1}
-    is computed once and serves both the stationarity check and the next
-    step.  A step whose update rate
-    ||u_{n+1} - u_n|| / dt is at most tol ||u0|| has the stationary
-    equation checked; see RunTrace for what is recorded.
+    inner and outer are the dimension's _laplacians, and F(w) goes through
+    flux, so that r is bit for bit rhs_1d's / rhs_2d's.  In adaptive mode the
+    first check uses _LAMBDA_INIT and every later one re-estimates lam from
+    the iterate it checks.  step(w, lam, r) returns the correction.
     """
     inner, outer = _laplacians(u.shape, h)
-    safety = _SAFETY / 4 ** (u.ndim - 1)
     adaptive = params.target_delta is not None
-    lam = _LAMBDA_INIT if adaptive else params.lam
-    norm_u0 = float(np.linalg.norm(u0v))
+    lam0 = _LAMBDA_INIT if adaptive else params.lam
     cell = h ** u.ndim
-    rec = _Recorder()
-    converged = False
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def residual(u, it):
         w = inner(u)
         diffusion = outer(flux(w, params.epsilon, params.p))
-        for it in range(1, params.max_iters + 1):
-            if adaptive and it > 1:
-                lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-            dt = params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
-            u_new = u + dt * (-diffusion - lam * (u - u0v))
-            if not np.all(np.isfinite(u_new)):
-                raise DivergenceError(f"non-finite values at iteration {it}")
+        lam = lam0
+        if adaptive and it > 1:
+            lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
+        energy = _flux_potential(w, params.epsilon, params.p) * cell
+        return -diffusion - lam * (u - u0v), lam, energy, w
 
-            update = float(np.linalg.norm(u_new - u))
-            fid = float(np.linalg.norm(u_new - u0v))
-            energy = _flux_potential(w, params.epsilon, params.p) * cell \
-                + 0.5 * lam * fid * fid * cell
-            rec.record(update / dt, fid, lam, energy)
-            u = u_new
-            w = inner(u)
-            diffusion = outer(flux(w, params.epsilon, params.p))
+    return _iterate(u0v, u, h, params.tol, params.max_iters, residual, step)
 
-            if update <= params.tol * dt * norm_u0 and _stationary_ok(
-                    float(np.linalg.norm(diffusion + lam * (u - u0v))), lam, fid,
-                    params.tol, norm_u0):
-                converged = True
-                break
 
-    return u, rec.finish(dt, converged)
+def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
+              params: FilterParams) -> tuple[np.ndarray, RunTrace]:
+    """Explicit Euler time steps u <- u + dt r from u to the equilibrium of
+    the data u0v.
+
+    The step is params.dt, or else a safety factor times stable_step_bound
+    at the current lam: _SAFETY in 1D, and a quarter of it in 2D, where the
+    five-point operators have twice the 1D norm.  dt_used is the step at the
+    last recorded lam.
+    """
+    safety = _SAFETY / 4 ** (u.ndim - 1)
+
+    def dt(lam):
+        return params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
+
+    u, trace = _iterate_filter(u0v, u, h, params, lambda w, lam, r: dt(lam) * r)
+    return u, replace(trace, dt_used=float(dt(trace.lambda_history[-1])))
 
 
 def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -347,30 +329,14 @@ def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float,
                    params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Lagged diffusivity from u to the equilibrium of the data u0v.
 
-    inner and outer are the dimension's _laplacians.  solve(g, lam, r), from
-    _lagged_1d or _lagged_2d, returns (an approximation of) A^-1 r for the
-    frozen matrix A = outer diag(g) inner + lam I.
+    solve(g, lam, r), from _lagged_1d or _lagged_2d, returns (an
+    approximation of) A^-1 r for the frozen matrix
+    A = outer diag(g) inner + lam I, with g = (w^2 + epsilon)^-p so that
+    F(w) = g w.
     """
-    inner, outer = _laplacians(u.shape, h)
-    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h, inner, outer)
-    adaptive = params.target_delta is not None
-    lam0 = _LAMBDA_INIT if adaptive else params.lam
-    cell = h ** u.ndim
-
-    def residual(u, it):
-        # F(w) through flux, so that r is bit for bit rhs_1d's / rhs_2d's
-        w = inner(u)
-        diffusion = outer(flux(w, params.epsilon, params.p))
-        lam = lam0
-        if adaptive and it > 1:
-            lam = _lambda_estimate(u - u0v, diffusion, params.target_delta)
-        energy = _flux_potential(w, params.epsilon, params.p) * cell
-        return -diffusion - lam * (u - u0v), lam, energy, w
-
-    def frozen_solve(w, lam, r):
-        return solve((w * w + params.epsilon) ** -params.p, lam, r)  # F(w) = g w
-
-    return _lagged(u0v, u, h, params.tol, params.max_iters, residual, frozen_solve)
+    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h)
+    return _iterate_filter(u0v, u, h, params, lambda w, lam, r: solve(
+        (w * w + params.epsilon) ** -params.p, lam, r))
 
 
 def _lagged_1d(h: float):
@@ -382,8 +348,9 @@ def _lagged_1d(h: float):
         build_lagged_1d(g, h, lam if lam > 0 else _LAMBDA_INIT), r)
 
 
-def _lagged_2d(shape: tuple[int, int], h: float, inner, outer):
+def _lagged_2d(shape: tuple[int, int], h: float):
     """The 2D inner solve: one cycle of preconditioned GMRES."""
+    inner, outer = _laplacians(shape, h)
     (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
 

@@ -18,8 +18,8 @@ Mulet, SIAM J. Numer. Anal. 36, 1999).  The 2D face magnitudes average the
 transverse derivative, so there the stop rule alone vouches for the result: a
 solve converges once ||r|| <= 10 tol lam ||u - u0||.
 
-The iteration is core._lagged, the loop the 2D nonlinear filter uses too;
-this module supplies the face residual and the banded solve.
+The iteration is core._iterate, the loop every solver in lapden runs; this
+module supplies the face residual and the banded solve.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Field2D, RunTrace, Signal1D, _lagged, require_finite
+from .core import Field2D, RunTrace, Signal1D, _iterate, require_finite, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -104,22 +104,14 @@ def _tv_divergence(values: np.ndarray, h: float, faces) -> np.ndarray:
 
 def tv_rhs_1d(u: Signal1D, u0: Signal1D, params: TvParams) -> np.ndarray:
     """Curvature flow plus fidelity: div(u_x/|u_x|_beta) - lam (u - u0)."""
-    if len(u) != len(u0) or u.h != u0.h:
-        raise ValueError(
-            f"signals disagree: {len(u)} samples at h={u.h} vs "
-            f"{len(u0)} samples at h={u0.h}"
-        )
+    require_same_grid(u, u0)
     faces = _tv_faces(u.values, u.h, params.beta)
     return _tv_divergence(u.values, u.h, faces) \
         - params.lam * (u.values - u0.values)
 
 
 def tv_rhs_2d(u: Field2D, u0: Field2D, params: TvParams) -> Field2D:
-    if u.values.shape != u0.values.shape or u.h != u0.h:
-        raise ValueError(
-            f"fields disagree: {u.values.shape} at h={u.h} vs "
-            f"{u0.values.shape} at h={u0.h}"
-        )
+    require_same_grid(u, u0)
     faces = _tv_faces(u.values, u.h, params.beta)
     rhs = _tv_divergence(u.values, u.h, faces) \
         - params.lam * (u.values - u0.values)
@@ -179,8 +171,8 @@ def _tv_evolve(values0: np.ndarray, h: float,
             overwrite_ab=True, check_finite=False)
         return step.reshape(r.shape)
 
-    return _lagged(values0, values0.copy(), h, params.tol, params.max_iters,
-                   residual, solve)
+    return _iterate(values0, values0.copy(), h, params.tol, params.max_iters,
+                    residual, solve)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

@@ -241,6 +241,12 @@ class TestExperiment:
         assert code == 2
         assert "need n >= 4, got 0" in capsys.readouterr().err
 
+    def test_rejected_size_leaves_no_outdir(self, tmp_path):
+        outdir = tmp_path / "fresh"
+        code = main(["experiment", "fig2", "--n", "1", "--outdir", str(outdir)])
+        assert code == 2
+        assert not outdir.exists()
+
     def test_fig1_writes_artifacts_and_report(self, tmp_path):
         code = main(["experiment", "fig1", "--seed", "7",
                      "--outdir", str(tmp_path)])

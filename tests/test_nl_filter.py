@@ -174,6 +174,14 @@ class TestAdaptiveLambda:
         with pytest.raises(ValueError):
             adaptive_lambda(u, u, FilterParams())
 
+    @pytest.mark.parametrize("u0", [Field2D(np.zeros((8, 8)), 0.5),
+                                    Field2D(np.zeros((8, 7)))],
+                             ids=["spacing", "shape"])
+    def test_2d_grid_mismatch_rejected(self, u0):
+        u = Field2D(np.arange(64.0).reshape(8, 8))
+        with pytest.raises(ValueError, match="fields disagree"):
+            adaptive_lambda(u, u0, FilterParams(target_delta=1.0))
+
     def test_closed_loop_lands_on_delta(self):
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
@@ -233,11 +241,14 @@ class TestDenoise1D:
         with pytest.raises(DivergenceError, match=r"iteration \d+"):
             denoise_1d(noisy, params)
 
-    def test_iteration_cap_reports_not_converged(self):
+    @pytest.mark.parametrize("dt", [None, 1e-3], ids=["lagged", "explicit"])
+    def test_iteration_cap_reports_not_converged(self, dt):
+        # max_iters caps the corrections: 3 of them, and 4 checked iterates
         noisy = noise_signal(30, seed=10)
-        _, trace = denoise_1d(noisy, FilterParams(lam=1.0, max_iters=3, tol=1e-14))
+        _, trace = denoise_1d(noisy, FilterParams(lam=1.0, dt=dt, max_iters=3,
+                                                  tol=1e-14))
         assert not trace.converged
-        assert trace.iters_run == 3
+        assert trace.iters_run == 4
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -256,9 +267,8 @@ class TestDenoise1D:
 
     @pytest.mark.parametrize("path", ["explicit", "lagged"])
     def test_one_flux_evaluation_per_step(self, monkeypatch, path):
-        # time stepping: the diffusion at u_{n+1} serves the stationarity
-        # check and the next step, so a run evaluates the flux once at u0 and
-        # once per step; lagged diffusivity: once per checked iterate
+        # both paths evaluate the flux once per checked iterate: the residual
+        # there serves the stationarity check and the next correction
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
@@ -274,10 +284,9 @@ class TestDenoise1D:
         if path == "explicit":
             _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
                                            noisy.h, params)
-            assert len(calls) == trace.iters_run + 1
         else:
             _, trace = denoise_1d(noisy, params)
-            assert len(calls) == trace.iters_run
+        assert len(calls) == trace.iters_run
         assert trace.converged
 
 
@@ -410,7 +419,7 @@ class TestLagged1D:
         rng = np.random.default_rng(16)
         n = 9
         u0 = Signal1D(rng.normal(size=n))
-        params = FilterParams(lam=0.7, epsilon=3e-2, p=0.75, max_iters=2,
+        params = FilterParams(lam=0.7, epsilon=3e-2, p=0.75, max_iters=1,
                               tol=1e-300)
         stepped, trace = denoise_1d(u0, params)
         d0, d1 = dense_d0(n, 1.0), dense_d1(n, 1.0)
@@ -428,7 +437,7 @@ class TestLagged1D:
         noisy = add_noise(sample_f_sine(40), NoiseSpec(seed=4, delta_rel=0.09))
         params = FilterParams(target_delta=1.0, max_iters=5)
         restored, trace = denoise_1d(noisy, params)
-        assert trace.iters_run == 5
+        assert trace.iters_run == 6
         assert np.all(trace.lambda_history[1:] == 0.0)
         assert np.abs(restored.values - noisy.values).max() \
             <= np.abs(noisy.values).max()
@@ -446,8 +455,11 @@ class TestLagged1D:
 
 
 class TestLaggedHistory:
-    @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
-    def test_history_semantics(self, ndim):
+    @pytest.mark.parametrize("ndim, dt", [(1, None), (2, None), (1, 5e-3), (2, 2e-3)],
+                             ids=["1d", "2d", "1d-explicit", "2d-explicit"])
+    def test_history_semantics(self, ndim, dt):
+        # lagged diffusivity and fixed-step explicit Euler share one loop and
+        # so one trace convention
         if ndim == 1:
             clean = sample_f_sine(60)
             noisy = add_noise(clean, NoiseSpec(seed=8, delta_rel=0.09))
@@ -456,10 +468,10 @@ class TestLaggedHistory:
         else:
             _, noisy, delta = noisy_f2d(24, seed=8)
             denoise, rhs = denoise_2d, (lambda *a: rhs_2d(*a).values)
-        params = FilterParams(target_delta=delta)
+        params = FilterParams(target_delta=delta, dt=dt)
         restored, trace = denoise(noisy, params)
         assert trace.converged
-        assert trace.dt_used is None
+        assert trace.dt_used == dt
         # entry 0 checks the data itself, the last entry the returned iterate
         assert trace.fidelity_history[0] == 0.0
         fid = np.linalg.norm(restored.values - noisy.values)

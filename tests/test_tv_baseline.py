@@ -246,7 +246,7 @@ class TestLaggedDiffusivity:
         params = TvParams(lam=3.0, max_iters=5, tol=1e-300)
         restored, trace = tv_denoise_1d(noisy, params)
         assert not trace.converged
-        assert trace.iters_run == 5
+        assert trace.iters_run == 6
         assert trace.dt_used is None
         assert trace.residual_history[0] == np.linalg.norm(
             tv_rhs_1d(noisy, noisy, params))
