@@ -149,8 +149,11 @@ def _emit(args, command: str, params, noisy, restored, trace,
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    status = "converged" if trace.converged else "stopped at the iteration cap"
-    line = f"{command}: {status} after {trace.iters_run} iterations"
+    if trace.converged:
+        line = f"{command}: converged after {trace.iters_run} iterations"
+    else:  # the cap, --iters, counts corrections: one fewer than the checks
+        line = (f"{command}: stopped at the iteration cap after "
+                f"{trace.iters_run - 1} corrections")
     if metrics_restored is not None:
         line += (f"; rel_err {metrics_noisy['rel_err']:.4g} -> "
                  f"{metrics_restored['rel_err']:.4g}")

@@ -9,28 +9,32 @@ with face-centered regularized fluxes and zero flux through the boundary.
 Each iteration freezes the face weights g = 1 / (h^2 |grad u|_beta) at the
 current iterate u and takes the correction step u <- u + A^-1 r(u), where
 A = lam I - div(g grad) is the symmetric positive definite matrix of the
-frozen operator: tridiagonal in 1D, five-point with bandwidth equal to the row
-length in 2D.  This is the lagged-diffusivity fixed point of Vogel & Oman,
+frozen operator.  This is the lagged-diffusivity fixed point of Vogel & Oman,
 "Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
-(1996).  In 1D, r is -1/h times the gradient of the regularized ROF energy,
+(1996).  In 1D A is tridiagonal and the step is exact (a banded Cholesky
+solve); r is then -1/h times the gradient of the regularized ROF energy,
 which the iteration decreases at every step and converges to globally (Chan &
-Mulet, SIAM J. Numer. Anal. 36, 1999).  The 2D face magnitudes average the
-transverse derivative, so there the stop rule alone vouches for the result: a
-solve converges once ||r|| <= 10 tol lam ||u - u0||.
+Mulet, SIAM J. Numer. Anal. 36, 1999).  In 2D the step is inexact, as Vogel &
+Oman allow: conjugate gradients (Hestenes & Stiefel 1952) from zero,
+preconditioned by diag(A), to a relative residual of 1e-2, with A applied
+face by face and never stored.  The 2D face magnitudes average the transverse
+derivative, so there the stop rule alone vouches for the result: a solve
+converges once ||r|| <= 10 tol lam ||u - u0||, whatever the inner solves did.
 
 The iteration is core._iterate, the loop every solver in lapden runs; this
-module supplies the face residual and the banded solve.
+module supplies the face residual and the inner solves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import Field2D, RunTrace, Signal1D, _iterate, require_finite, require_same_grid
+
+_CG_RTOL = 1e-2  # 2D inner solve: relative residual of Jacobi-preconditioned CG
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,15 @@ def _tv_faces(values: np.ndarray, h: float, beta: float) -> tuple:
     if values.ndim == 1:
         dx = np.diff(values) / h
         return ((0, dx, np.sqrt(dx * dx + beta)),)
-    p = np.pad(values, 1, mode="reflect")
-    # vertical faces between columns j and j+1 (core rows only)
+    # mirror ghost rows and columns by slicing; no average reads a corner
+    rows = np.vstack((values[1], values, values[-2]))
+    cols = np.hstack((values[:, 1:2], values, values[:, -2:-1]))
+    # vertical faces between columns j and j+1
     dx = (values[:, 1:] - values[:, :-1]) / h
-    dy_at_x = (p[2:, 1:-2] + p[2:, 2:-1] - p[:-2, 1:-2] - p[:-2, 2:-1]) / (4.0 * h)
+    dy_at_x = (rows[2:, :-1] + rows[2:, 1:] - rows[:-2, :-1] - rows[:-2, 1:]) / (4.0 * h)
     # horizontal faces between rows i and i+1
     dy = (values[1:, :] - values[:-1, :]) / h
-    dx_at_y = (p[1:-2, 2:] + p[2:-1, 2:] - p[1:-2, :-2] - p[2:-1, :-2]) / (4.0 * h)
+    dx_at_y = (cols[:-1, 2:] + cols[1:, 2:] - cols[:-1, :-2] - cols[1:, :-2]) / (4.0 * h)
     return ((1, dx, np.sqrt(dx * dx + dy_at_x * dy_at_x + beta)),
             (0, dy, np.sqrt(dy * dy + dx_at_y * dx_at_y + beta)))
 
@@ -91,15 +97,21 @@ def _sides(ndim: int, axis: int) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
+def _net_flux(shape: tuple, fluxes) -> np.ndarray:
+    """Sum over the faces of each node of the flux, one (axis, flux) per
+    axis, counted + at the node before the face and - at the node after."""
+    net = np.zeros(shape)
+    for axis, flux in fluxes:
+        lo, hi = _sides(len(shape), axis)
+        net[lo] += flux
+        net[hi] -= flux
+    return net
+
+
 def _tv_divergence(values: np.ndarray, h: float, faces) -> np.ndarray:
     """div(grad u / |grad u|_beta) from the faces of u."""
-    div = np.zeros_like(values)
-    for axis, diff, mag in faces:
-        flux = diff / mag
-        lo, hi = _sides(values.ndim, axis)
-        div[lo] += flux
-        div[hi] -= flux
-    return div / h
+    return _net_flux(values.shape,
+                     ((axis, diff / mag) for axis, diff, mag in faces)) / h
 
 
 def tv_rhs_1d(u: Signal1D, u0: Signal1D, params: TvParams) -> np.ndarray:
@@ -118,29 +130,56 @@ def tv_rhs_2d(u: Field2D, u0: Field2D, params: TvParams) -> Field2D:
     return u.with_values(rhs)
 
 
-def _tv_matrix(faces, shape: tuple, h: float, lam: float) -> np.ndarray:
-    """A = lam I - div(g grad) with the weights g = 1/(h^2 |grad u|_beta) of
-    the faces, in the upper band storage of scipy.linalg.solveh_banded.
-
-    Nodes are numbered row-major, so a face across axis joins two nodes one
-    stride of that axis apart, and the bandwidth is the longest stride.
-    """
-    n = math.prod(shape)
-    strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
-    width = max(strides)
-    ab = np.zeros((width + 1, n), order="F")
+def _tv_operator(faces, shape: tuple, h: float, lam: float) -> tuple:
+    """The frozen matrix A = lam I - div(g grad) of the faces: one
+    (axis, weight) per axis with the face weights g = 1/(h^2 |grad u|_beta),
+    and the diagonal of A, lam plus the weights of the adjacent faces."""
+    weights = []
     diag = np.full(shape, lam)
     for axis, _, mag in faces:
         weight = 1.0 / (h * h * mag)
         lo, hi = _sides(len(shape), axis)
         diag[lo] += weight
         diag[hi] += weight
-        coupling = np.zeros(shape)
-        coupling[lo] = weight
-        stride = strides[axis]
-        ab[width - stride, stride:] = -coupling.ravel()[:n - stride]
-    ab[width] = diag.ravel()
+        weights.append((axis, weight))
+    return weights, diag
+
+
+def _tv_apply(weights, lam: float, x: np.ndarray) -> np.ndarray:
+    """A x = lam x - div(g grad x), face by face."""
+    return lam * x - _net_flux(
+        x.shape, ((axis, weight * np.diff(x, axis=axis)) for axis, weight in weights))
+
+
+def _tridiagonal(weights, diag: np.ndarray) -> np.ndarray:
+    """The 1D A in the upper band storage of scipy.linalg.solveh_banded."""
+    ab = np.zeros((2, diag.size))
+    ab[0, 1:] = -weights[0][1]
+    ab[1] = diag
     return ab
+
+
+def _pcg(matvec, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952)
+    for the SPD system A x = b from x = 0, until ||b - A x|| <= _CG_RTOL ||b||
+    (or after b.size steps, where exact arithmetic would have solved it)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    p = z
+    rz = float(np.vdot(r, z))
+    stop = _CG_RTOL * float(np.linalg.norm(b))
+    for _ in range(b.size):
+        if float(np.linalg.norm(r)) <= stop:
+            break
+        q = matvec(p)
+        alpha = rz / float(np.vdot(p, q))
+        x += alpha * p
+        r -= alpha * q
+        z = r / diag
+        rz, rz_prev = float(np.vdot(r, z)), rz
+        p = z + (rz / rz_prev) * p
+    return x
 
 
 def _tv_energy(u: np.ndarray, h: float, beta: float) -> float:
@@ -166,10 +205,12 @@ def _tv_evolve(values0: np.ndarray, h: float,
         return r, lam, _tv_energy(u, h, params.beta), faces
 
     def solve(faces, lam, r):
-        step = scipy.linalg.solveh_banded(
-            _tv_matrix(faces, r.shape, h, lam), r.ravel(),
-            overwrite_ab=True, check_finite=False)
-        return step.reshape(r.shape)
+        weights, diag = _tv_operator(faces, r.shape, h, lam)
+        if r.ndim == 1:
+            return scipy.linalg.solveh_banded(
+                _tridiagonal(weights, diag), r, overwrite_ab=True,
+                check_finite=False)
+        return _pcg(lambda x: _tv_apply(weights, lam, x), diag, r)
 
     return _iterate(values0, values0.copy(), h, params.tol, params.max_iters,
                     residual, solve)

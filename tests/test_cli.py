@@ -112,6 +112,15 @@ class TestDenoise1D:
                      "--dt", "1e9", "--iters", "500"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["denoise1d", "tv1d"])
+    def test_cap_line_counts_corrections(self, sine_files, command, capsys):
+        # the cap line names what --iters caps
+        _, noisy_path = sine_files
+        code = main([command, "--input", str(noisy_path), "--iters", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"{command}: stopped at the iteration cap after 3 corrections\n")
+
 
 class TestTv1D:
     def test_runs_and_reports(self, sine_files, tmp_path):

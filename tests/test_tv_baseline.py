@@ -16,7 +16,8 @@ from lapden import (
     tv_rhs_1d,
     tv_rhs_2d,
 )
-from lapden.experiments import TV_1D, TV_2D
+from lapden.experiments import DELTA_REL_2D, TV_1D, TV_2D
+from lapden.tv_baseline import _pcg, _tridiagonal, _tv_apply, _tv_faces, _tv_operator
 
 
 def fig_input_1d(sampler, seed):
@@ -73,6 +74,61 @@ def dense_tv_rhs_2d(values, u0, h, beta, lam):
     return out
 
 
+def dense_tv_operator(faces, shape, h, lam):
+    """A = lam I - div(g grad) with g = 1/(h^2 |grad u|_beta), assembled
+    face by face: each face couples the two nodes it separates."""
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    a = lam * np.eye(index.size)
+    for axis, _, mag in faces:
+        for face in np.ndindex(mag.shape):
+            after = list(face)
+            after[axis] += 1
+            i, j = index[face], index[tuple(after)]
+            w = 1.0 / (h * h * mag[face])
+            a[i, i] += w
+            a[j, j] += w
+            a[i, j] -= w
+            a[j, i] -= w
+    return a
+
+
+class TestTvOperator:
+    """The frozen matrix of one lagged-diffusivity step, against a dense A."""
+
+    def test_2d_matvec_and_diagonal(self):
+        rng = np.random.default_rng(29)
+        u = rng.normal(size=(5, 7))
+        h, lam = 0.7, 0.3
+        faces = _tv_faces(u, h, 1e-3)
+        weights, diag = _tv_operator(faces, u.shape, h, lam)
+        a = dense_tv_operator(faces, u.shape, h, lam)
+        x = rng.normal(size=u.shape)
+        assert np.allclose(_tv_apply(weights, lam, x).ravel(), a @ x.ravel(),
+                           rtol=1e-13, atol=1e-12)
+        assert np.allclose(diag.ravel(), np.diag(a), rtol=1e-14, atol=0)
+
+    def test_2d_cg_meets_its_tolerance(self):
+        rng = np.random.default_rng(30)
+        u = rng.normal(size=(5, 7))
+        faces = _tv_faces(u, 1.0, 1e-3)
+        weights, diag = _tv_operator(faces, u.shape, 1.0, 0.3)
+        b = rng.normal(size=u.shape)
+        x = _pcg(lambda v: _tv_apply(weights, 0.3, v), diag, b)
+        a = dense_tv_operator(faces, u.shape, 1.0, 0.3)
+        assert np.linalg.norm(b.ravel() - a @ x.ravel()) \
+            <= 1e-2 * np.linalg.norm(b)
+
+    def test_1d_band(self):
+        rng = np.random.default_rng(31)
+        u = rng.normal(size=9)
+        h, lam = 0.37, 0.8
+        faces = _tv_faces(u, h, 1e-3)
+        ab = _tridiagonal(*_tv_operator(faces, u.shape, h, lam))
+        band = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+        assert np.allclose(band, dense_tv_operator(faces, u.shape, h, lam),
+                           rtol=1e-14, atol=0)
+
+
 class TestTvRhs1D:
     def test_constant_is_zero(self):
         u = Signal1D(np.full(10, 2.0))
@@ -110,6 +166,26 @@ class TestTvRhs2D:
         expected = dense_tv_rhs_2d(u.values, u0.values, 1.0, params.beta, params.lam)
         assert np.allclose(tv_rhs_2d(u, u0, params).values, expected,
                            rtol=1e-12, atol=1e-13)
+
+    def test_faces_bit_identical_to_np_pad_formula(self):
+        # the mirror ghosts built by np.pad, with the averages summed in the
+        # same order: the sliced ghosts must not change a single bit
+        def padded_faces(values, h, beta):
+            p = np.pad(values, 1, mode="reflect")
+            dx = (values[:, 1:] - values[:, :-1]) / h
+            dy_at_x = (p[2:, 1:-2] + p[2:, 2:-1] - p[:-2, 1:-2] - p[:-2, 2:-1]) / (4.0 * h)
+            dy = (values[1:, :] - values[:-1, :]) / h
+            dx_at_y = (p[1:-2, 2:] + p[2:-1, 2:] - p[1:-2, :-2] - p[2:-1, :-2]) / (4.0 * h)
+            return (np.sqrt(dx * dx + dy_at_x * dy_at_x + beta),
+                    np.sqrt(dy * dy + dx_at_y * dx_at_y + beta))
+
+        rng = np.random.default_rng(32)
+        for shape in ((3, 3), (3, 8), (9, 4), (33, 32)):
+            for h in (1.0, 0.37):
+                u = rng.normal(scale=10.0, size=shape)
+                mags = [mag for _, _, mag in _tv_faces(u, h, 1e-6)]
+                for mag, expected in zip(mags, padded_faces(u, h, 1e-6)):
+                    assert np.array_equal(mag, expected)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(23)
@@ -240,6 +316,16 @@ class TestLaggedDiffusivity:
         _, trace = tv_denoise_2d(noisy, TV_2D)
         assert trace.converged
         assert trace.iters_run < 500
+
+    def test_full_scale_2d_converges(self):
+        # fig5 at the full-scale n=200
+        noisy = add_noise(sample_f2d(200), NoiseSpec(seed=42, delta_rel=DELTA_REL_2D))
+        restored, trace = tv_denoise_2d(noisy, TV_2D)
+        assert trace.converged
+        assert trace.iters_run < 500
+        stat = np.linalg.norm(tv_rhs_2d(restored, noisy, TV_2D).values)
+        anchor = TV_2D.lam * np.linalg.norm(restored.values - noisy.values)
+        assert stat <= 10.0 * TV_2D.tol * anchor
 
     def test_histories_describe_the_checked_iterates(self):
         noisy = fig_input_1d(sample_g_jumps, 3)
