@@ -123,11 +123,12 @@ class RunTrace:
     r = div(grad u / |grad u|_beta) - lam (u - u0); nonlinear filter:
     r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||,
     lambda_history[k] the lam of that check (re-estimated from u_k in
-    adaptive mode), and energy_history[k] the regularized ROF energy of u_k
-    (a per-axis proxy in 2D) or the nonlinear filter's energy proxy (a
-    diagnostic only; the semi-discrete system is not an exact gradient
-    flow).  dt_used is the explicit Euler step at the last lam, and None
-    for lagged diffusivity, which takes no time step.
+    adaptive mode; the nonlinear filter's correction steps take a lam of
+    their own, which is not recorded), and energy_history[k] the regularized
+    ROF energy of u_k (a per-axis proxy in 2D) or the nonlinear filter's
+    energy proxy (a diagnostic only; the semi-discrete system is not an
+    exact gradient flow).  dt_used is the explicit Euler step at the last
+    lam, and None for lagged diffusivity, which takes no time step.
     """
 
     iters_run: int

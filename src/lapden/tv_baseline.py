@@ -98,11 +98,11 @@ def _sides(ndim: int, axis: int) -> tuple[tuple, tuple]:
 
 
 def _net_flux(shape: tuple, fluxes) -> np.ndarray:
-    """Sum over the faces of each node of the flux, one (axis, flux) per
-    axis, counted + at the node before the face and - at the node after."""
+    """Sum over the faces of each node of the flux, one (lo, hi, flux) per
+    axis (lo and hi from _sides), counted + at the node before the face and
+    - at the node after."""
     net = np.zeros(shape)
-    for axis, flux in fluxes:
-        lo, hi = _sides(len(shape), axis)
+    for lo, hi, flux in fluxes:
         net[lo] += flux
         net[hi] -= flux
     return net
@@ -110,8 +110,8 @@ def _net_flux(shape: tuple, fluxes) -> np.ndarray:
 
 def _tv_divergence(values: np.ndarray, h: float, faces) -> np.ndarray:
     """div(grad u / |grad u|_beta) from the faces of u."""
-    return _net_flux(values.shape,
-                     ((axis, diff / mag) for axis, diff, mag in faces)) / h
+    return _net_flux(values.shape, ((*_sides(values.ndim, axis), diff / mag)
+                                    for axis, diff, mag in faces)) / h
 
 
 def tv_rhs_1d(u: Signal1D, u0: Signal1D, params: TvParams) -> np.ndarray:
@@ -132,7 +132,8 @@ def tv_rhs_2d(u: Field2D, u0: Field2D, params: TvParams) -> Field2D:
 
 def _tv_operator(faces, shape: tuple, h: float, lam: float) -> tuple:
     """The frozen matrix A = lam I - div(g grad) of the faces: one
-    (axis, weight) per axis with the face weights g = 1/(h^2 |grad u|_beta),
+    (lo, hi, weight) per axis, with the indices of the nodes before and
+    after each face (_sides) and the face weights g = 1/(h^2 |grad u|_beta),
     and the diagonal of A, lam plus the weights of the adjacent faces."""
     weights = []
     diag = np.full(shape, lam)
@@ -141,20 +142,20 @@ def _tv_operator(faces, shape: tuple, h: float, lam: float) -> tuple:
         lo, hi = _sides(len(shape), axis)
         diag[lo] += weight
         diag[hi] += weight
-        weights.append((axis, weight))
+        weights.append((lo, hi, weight))
     return weights, diag
 
 
 def _tv_apply(weights, lam: float, x: np.ndarray) -> np.ndarray:
     """A x = lam x - div(g grad x), face by face."""
     return lam * x - _net_flux(
-        x.shape, ((axis, weight * np.diff(x, axis=axis)) for axis, weight in weights))
+        x.shape, [(lo, hi, weight * (x[hi] - x[lo])) for lo, hi, weight in weights])
 
 
 def _tridiagonal(weights, diag: np.ndarray) -> np.ndarray:
     """The 1D A in the upper band storage of scipy.linalg.solveh_banded."""
     ab = np.zeros((2, diag.size))
-    ab[0, 1:] = -weights[0][1]
+    ab[0, 1:] = -weights[0][2]
     ab[1] = diag
     return ab
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -350,7 +351,7 @@ class TestLagged2D:
         params = replace(NLAP_2D, target_delta=delta)
         restored, trace = denoise_2d(noisy, params)
         assert trace.converged
-        assert trace.iters_run < 500
+        assert trace.iters_run <= 20
         fid = np.linalg.norm(restored.values - noisy.values)
         assert abs(fid - delta) <= 1e-4 * delta
 
@@ -484,6 +485,107 @@ class TestLaggedHistory:
         assert trace.residual_history[-1] <= 10.0 * params.tol * lam * fid
         assert np.all(trace.residual_history[:-1] > 10.0 * params.tol
                       * trace.lambda_history[:-1] * trace.fidelity_history[:-1])
+
+
+class TestStepLambda:
+    # _step_lambda works on x = log lam of the last step and
+    # f = log lam_est - x; its state is (x, (x, f) of the step before)
+
+    def test_first_step_is_the_fixed_point(self):
+        lam, state = nl_filter._step_lambda(2.5, None)
+        assert lam == 2.5
+        assert state == (math.log(2.5), None)
+
+    def test_fixed_point_without_a_secant_pair(self):
+        lam, state = nl_filter._step_lambda(math.e, (0.0, None))
+        assert lam == math.e
+        assert state == (1.0, (0.0, 1.0))
+
+    def test_secant_step(self):
+        # the secant through (-1, 1.5) and (0, 1) meets f = 0 at x = 2
+        lam, state = nl_filter._step_lambda(math.e, (0.0, (-1.0, 1.5)))
+        assert lam == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert state == (pytest.approx(2.0, rel=1e-15), (0.0, 1.0))
+
+    @pytest.mark.parametrize("prev", [(-1.0, 0.5), (1.0, 1.5), (-1.0, 1.0)],
+                             ids=["backward", "backward-other-side", "flat"])
+    def test_falls_back_to_the_fixed_point(self, prev):
+        # the secant points against f = 1 (or, with f_prev = f, nowhere)
+        lam, state = nl_filter._step_lambda(math.e, (0.0, prev))
+        assert lam == math.e
+        assert state == (1.0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_secant_capped_at_ten_fixed_point_steps(self, sign):
+        # uncapped, the secant through (-s, 1.05 s) and (0, s) moves 20 s
+        lam, state = nl_filter._step_lambda(math.exp(sign),
+                                            (0.0, (-sign, 1.05 * sign)))
+        assert nl_filter._SECANT_CAP == 10.0
+        assert state[0] == pytest.approx(10.0 * sign, rel=1e-14)
+        assert lam == pytest.approx(math.exp(10.0 * sign), rel=1e-13)
+
+    def test_zero_estimate_resets_the_history(self):
+        lam, state = nl_filter._step_lambda(0.0, (0.3, (0.1, 0.2)))
+        assert lam == 0.0 and state is None
+        lam, state = nl_filter._step_lambda(4.0, state)
+        assert lam == 4.0
+        assert state == (math.log(4.0), None)
+
+
+class TestAdaptiveSecant:
+    """The adaptive filter on the experiment instances: it lands on delta
+    and on the fixed-lam equilibrium at its final lam, in few outer steps."""
+
+    @staticmethod
+    def run_1d(sampler, n, seed):
+        clean = sampler(n)
+        noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=0.09))
+        delta = float(np.linalg.norm(noisy.values - clean.values))
+        restored, trace = denoise_1d(noisy, replace(NLAP_1D, target_delta=delta))
+        return noisy, delta, restored, trace
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
+                             ids=["fig2", "fig3"])
+    def test_seed_sweep_reaches_delta(self, sampler, seed):
+        noisy, delta, restored, trace = self.run_1d(sampler, 100, seed)
+        assert trace.converged
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert abs(fid / delta - 1.0) <= 1e-4
+        if sampler is sample_f_sine:
+            assert trace.iters_run <= 25
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_sine_256_outer_steps(self, seed):
+        _, _, _, trace = self.run_1d(sample_f_sine, 256, seed)
+        assert trace.converged
+        assert trace.iters_run <= 25
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])  # 42: TestLagged2D
+    def test_fig5_outer_steps(self, seed):
+        _, noisy, delta = noisy_f2d(64, seed)
+        restored, trace = denoise_2d(noisy, replace(NLAP_2D, target_delta=delta))
+        assert trace.converged
+        assert trace.iters_run <= 20
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert abs(fid / delta - 1.0) <= 1e-4
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_matches_fixed_lambda_solve_at_final_lambda(self, ndim):
+        # the adaptive equilibrium is the fixed-lam equilibrium at the lam
+        # it certified; the fixed-lam run never sees _step_lambda
+        if ndim == 1:
+            noisy, _, restored, trace = self.run_1d(sample_g_jumps, 100, 42)
+            denoise, params = denoise_1d, NLAP_1D
+        else:
+            _, noisy, delta = noisy_f2d(64, 42)
+            denoise, params = denoise_2d, NLAP_2D
+            restored, trace = denoise(noisy, replace(params, target_delta=delta))
+        assert trace.converged
+        oracle, oracle_trace = denoise(
+            noisy, replace(params, lam=trace.lambda_history[-1], tol=1e-10))
+        assert oracle_trace.converged
+        assert np.abs(restored.values - oracle.values).max() <= 1e-5
 
 
 class TestFilterParamsValidation:
