@@ -6,6 +6,7 @@ baseline."""
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,18 @@ def require_finite(params, *names: str) -> None:
         value = getattr(params, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_count(params, name: str) -> None:
+    """Reject a parameter set whose named field is not an integer >= 1
+    (numpy integers pass)."""
+    value = getattr(params, name)
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def require_same_grid(u: Signal1D | Field2D, u0: Signal1D | Field2D) -> None:
@@ -121,34 +134,29 @@ class RunTrace:
     one more than the number of corrections taken.
     residual_history[k] is the stationary residual ||r(u_k)|| (TV:
     r = div(grad u / |grad u|_beta) - lam (u - u0); nonlinear filter:
-    r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||,
-    lambda_history[k] the lam of that check (re-estimated from u_k in
+    r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||
+    and lambda_history[k] the lam of that check (re-estimated from u_k in
     adaptive mode; the nonlinear filter's correction steps take a lam of
-    their own, which is not recorded), and energy_history[k] the regularized
-    ROF energy of u_k (a per-axis proxy in 2D) or the nonlinear filter's
-    energy proxy (a diagnostic only; the semi-discrete system is not an
-    exact gradient flow).  dt_used is the explicit Euler step at the last
-    lam, and None for lagged diffusivity, which takes no time step.
+    their own, which is not recorded).  dt_used is the explicit Euler step
+    at the last lam, and None for lagged diffusivity, which takes no time
+    step.
     """
 
     iters_run: int
     residual_history: np.ndarray
     fidelity_history: np.ndarray
     lambda_history: np.ndarray
-    energy_history: np.ndarray
     dt_used: float | None
     converged: bool
     wall_seconds: float = field(compare=False, default=0.0)
 
     def __post_init__(self):
-        for name in ("residual_history", "fidelity_history", "lambda_history",
-                     "energy_history"):
+        for name in ("residual_history", "fidelity_history", "lambda_history"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         lengths = {
             self.residual_history.size,
             self.fidelity_history.size,
             self.lambda_history.size,
-            self.energy_history.size,
         }
         if lengths != {self.iters_run}:
             raise ValueError("trace histories must all have length iters_run")
@@ -164,32 +172,31 @@ def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
     return stat_norm <= tol * max(norm_u0, 1.0)
 
 
-def _iterate(u0v: np.ndarray, u: np.ndarray, h: float, tol: float,
-             max_iters: int, residual, step) -> tuple[np.ndarray, RunTrace]:
+def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
+             residual, step) -> tuple[np.ndarray, RunTrace]:
     """The iteration from u to the equilibrium of the data u0v, for every path.
 
-    residual(u, it) returns (r, lam, regularizer_energy, frozen): the
-    stationary residual r at u, the fidelity weight it was formed with, the
-    regularizer's energy at u, and the frozen state that step needs.
+    residual(u, it) returns (r, lam, frozen): the stationary residual r at
+    u, the fidelity weight it was formed with, and the frozen state that
+    step needs.
     step(frozen, lam, r) returns the correction: A^-1 r for the operator A
     frozen at u (lagged diffusivity) or dt r (explicit Euler).  The run
     converges once ||r|| <= 10 tol lam ||u - u0||, and stops unconverged
     after max_iters corrections (see RunTrace for what is recorded).
     """
     norm_u0 = float(np.linalg.norm(u0v))
-    cell = h ** u.ndim
     rows = []
     t0 = time.perf_counter()
     converged = False
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 2):
-            r, lam, energy, frozen = residual(u, it)
+            r, lam, frozen = residual(u, it)
             stat = float(np.linalg.norm(r))
             if not math.isfinite(stat):
                 raise DivergenceError(f"non-finite values at iteration {it}")
             fid = float(np.linalg.norm(u - u0v))
-            rows.append((stat, fid, lam, energy + 0.5 * lam * fid * fid * cell))
+            rows.append((stat, fid, lam))
             converged = _stationary_ok(stat, lam, fid, tol, norm_u0)
             if converged or it > max_iters:
                 break

@@ -106,26 +106,18 @@ def _write_field_pgm(path, field: Field2D) -> None:
     write_pgm(path, field.with_values(_field_to_unit(field.values)))
 
 
-def _instance_1d(sample, n: int, seed: int, outdir: Path):
+def _instance(sample, delta_rel: float, n: int, seed: int, outdir: Path):
     clean = sample(n)
-    noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=DELTA_REL_1D))
+    noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=delta_rel))
     delta = float(np.linalg.norm(noisy.values - clean.values))
     outdir.mkdir(parents=True, exist_ok=True)  # only once the size passed
-    return clean, noisy, delta
-
-
-def _instance_2d(n: int, seed: int, outdir: Path):
-    clean = sample_f2d(n)
-    noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=DELTA_REL_2D))
-    delta = float(np.linalg.norm(noisy.values - clean.values))
-    outdir.mkdir(parents=True, exist_ok=True)
     return clean, noisy, delta
 
 
 def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
     rows = []
     for tag, sampler in (("f", sample_f_sine), ("g", sample_g_jumps)):
-        clean, noisy, _ = _instance_1d(sampler, n, seed, outdir)
+        clean, noisy, _ = _instance(sampler, DELTA_REL_1D, n, seed, outdir)
         tau = default_plateau_tau(clean)
         paths = [
             outdir / f"fig1_{tag}-clean_{seed}.csv",
@@ -147,7 +139,7 @@ def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
 
 def _run_1d_comparison(name: str, sampler, seed: int, n: int,
                        outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance_1d(sampler, n, seed, outdir)
+    clean, noisy, delta = _instance(sampler, DELTA_REL_1D, n, seed, outdir)
     tau = default_plateau_tau(clean)
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_1D, target_delta=delta)
@@ -184,7 +176,7 @@ def _run_1d_comparison(name: str, sampler, seed: int, n: int,
 
 
 def _run_fig4(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, _ = _instance_2d(n, seed, outdir)
+    clean, noisy, _ = _instance(sample_f2d, DELTA_REL_2D, n, seed, outdir)
     tau = default_plateau_tau(clean)
     paths = [outdir / f"fig4_clean_{seed}.pgm", outdir / f"fig4_noisy_{seed}.pgm"]
     _write_field_pgm(paths[0], clean)
@@ -196,7 +188,7 @@ def _run_fig4(seed: int, n: int, outdir: Path) -> list[dict]:
 
 
 def _run_fig5(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance_2d(n, seed, outdir)
+    clean, noisy, delta = _instance(sample_f2d, DELTA_REL_2D, n, seed, outdir)
     tau = default_plateau_tau(clean)
     noisy_metrics = compute_metrics(noisy, clean, tau)
     nlap_params = replace(NLAP_2D, target_delta=delta)

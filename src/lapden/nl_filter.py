@@ -23,8 +23,11 @@ form (grid_ops.build_lagged_1d) and is solved exactly by banded LU.  In 2D
 A is too large for that and non-symmetric (the mirror and zero-boundary
 Laplacians differ), so A^-1 r is approximated by one cycle of
 right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986), matrix-free, with the fast-transform preconditioner
-max(g) (L_row + L_col)^2 + lambda I.
+1986), matrix-free, preconditioned by max(g) (L_row + L_col)^2 + lambda I.
+That preconditioner is diagonal in the eigenbases of the row and column
+zero-slope Laplacians D0 (_d0_eigh, by scipy.linalg.eigh_tridiagonal); it
+is applied by dense matrix products with those two bases, not by a fast
+transform.
 
 When the noise norm delta is known, lambda is chosen by Morozov's
 discrepancy principle (Soviet Math. Dokl. 7, 1966), so that
@@ -45,7 +48,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import Field2D, RunTrace, Signal1D, _iterate, require_finite, require_same_grid
+from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
+                   require_finite, require_same_grid)
 from .grid_ops import (
     Stencil2DKind,
     apply_banded,
@@ -102,6 +106,7 @@ class FilterParams:
 
     def __post_init__(self):
         require_finite(self, "lam", "epsilon", "p", "dt", "tol", "target_delta")
+        require_count(self, "max_iters")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.p < 0.5:
@@ -110,8 +115,6 @@ class FilterParams:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.target_delta is not None and not self.target_delta > 0:
@@ -123,13 +126,6 @@ def flux(w, epsilon: float, p: float):
     w = np.asarray(w, dtype=float)
     out = w / (w * w + epsilon) ** p
     return out if out.ndim else float(out)
-
-
-def _flux_potential(w: np.ndarray, epsilon: float, p: float) -> float:
-    # antiderivative of the flux, for the energy diagnostic
-    if p == 1.0:
-        return 0.5 * float(np.sum(np.log(w * w + epsilon)))
-    return float(np.sum((w * w + epsilon) ** (1.0 - p))) / (2.0 * (1.0 - p))
 
 
 def stable_step_bound(h: float, epsilon: float, p: float, lam: float) -> float:
@@ -283,7 +279,6 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
     inner, outer = _laplacians(u.shape, h)
     adaptive = params.target_delta is not None
     lam0 = _LAMBDA_INIT if adaptive else params.lam
-    cell = h ** u.ndim
     state = None  # what _step_lambda carries from one correction to the next
 
     def residual(u, it):
@@ -293,8 +288,7 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
         du = u - u0v
         if adaptive and it > 1:
             lam = _lambda_estimate(du, diffusion, params.target_delta)
-        energy = _flux_potential(w, params.epsilon, params.p) * cell
-        return -diffusion - lam * du, lam, energy, (w, du)
+        return -diffusion - lam * du, lam, (w, du)
 
     def correction(frozen, lam, r):
         nonlocal state
@@ -304,7 +298,7 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
         lam_step, state = _step_lambda(lam, state)
         return step(w, lam_step, r + (lam - lam_step) * du)
 
-    return _iterate(u0v, u, h, params.tol, params.max_iters, residual, correction)
+    return _iterate(u0v, u, params.tol, params.max_iters, residual, correction)
 
 
 def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Field2D, RunTrace, Signal1D, _iterate, require_finite, require_same_grid
+from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
+                   require_finite, require_same_grid)
 
 _CG_RTOL = 1e-2  # 2D inner solve: relative residual of Jacobi-preconditioned CG
 
@@ -53,12 +54,11 @@ class TvParams:
 
     def __post_init__(self):
         require_finite(self, "lam", "beta", "tol")
+        require_count(self, "max_iters")
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
@@ -183,15 +183,6 @@ def _pcg(matvec, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tv_energy(u: np.ndarray, h: float, beta: float) -> float:
-    # regularized total-variation mass, a per-axis proxy in 2D
-    total = 0.0
-    for axis in range(u.ndim):
-        d = np.diff(u, axis=axis) / h
-        total += float(np.sum(np.sqrt(d * d + beta)))
-    return total * h**u.ndim
-
-
 def _tv_evolve(values0: np.ndarray, h: float,
                params: TvParams) -> tuple[np.ndarray, RunTrace]:
     """Lagged-diffusivity iteration from values0 to the TV equilibrium."""
@@ -203,7 +194,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
     def residual(u, it):
         faces = _tv_faces(u, h, params.beta)
         r = _tv_divergence(u, h, faces) - lam * (u - values0)
-        return r, lam, _tv_energy(u, h, params.beta), faces
+        return r, lam, faces
 
     def solve(faces, lam, r):
         weights, diag = _tv_operator(faces, r.shape, h, lam)
@@ -213,7 +204,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
                 check_finite=False)
         return _pcg(lambda x: _tv_apply(weights, lam, x), diag, r)
 
-    return _iterate(values0, values0.copy(), h, params.tol, params.max_iters,
+    return _iterate(values0, values0.copy(), params.tol, params.max_iters,
                     residual, solve)
 
 

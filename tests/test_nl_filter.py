@@ -607,3 +607,8 @@ class TestFilterParamsValidation:
     def test_target_delta_positive(self):
         with pytest.raises(ValueError):
             FilterParams(target_delta=0.0)
+
+    @pytest.mark.parametrize("value", [0, 1.5])
+    def test_max_iters_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            FilterParams(max_iters=value)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lapden.core as core
+import lapden.tv_baseline as tv_baseline
 from lapden import (
     Field2D,
     NoiseSpec,
@@ -294,15 +296,42 @@ class TestTvParamsValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TvParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, 2.5])
+    def test_max_iters_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            TvParams(max_iters=value)
+
 
 class TestLaggedDiffusivity:
     @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
                              ids=["fig2", "fig3"])
-    def test_energy_never_increases(self, sampler):
+    def test_energy_never_increases(self, sampler, monkeypatch):
+        # Chan & Mulet: the exact 1D lagged step lowers the regularized ROF
+        # energy at every step; check it on every iterate the loop checks
+        iterates = []
+
+        def recording(u0v, u, tol, max_iters, residual, step):
+            def recorded(u, it):
+                iterates.append(u.copy())
+                return residual(u, it)
+            return core._iterate(u0v, u, tol, max_iters, recorded, step)
+
+        monkeypatch.setattr(tv_baseline, "_iterate", recording)
+        beta, lam = TV_1D.beta, TV_1D.lam
         for seed in range(10):
-            _, trace = tv_denoise_1d(fig_input_1d(sampler, seed), TV_1D)
+            iterates.clear()
+            noisy = fig_input_1d(sampler, seed)
+            h = noisy.h
+            _, trace = tv_denoise_1d(noisy, TV_1D)
             assert trace.converged
-            assert np.all(np.diff(trace.energy_history) <= 0.0), seed
+            assert len(iterates) == trace.iters_run
+            energy = []
+            for u in iterates:
+                d = np.diff(u) / h
+                fid = float(np.linalg.norm(u - noisy.values))
+                energy.append(float(np.sum(np.sqrt(d * d + beta))) * h
+                              + 0.5 * lam * fid * fid * h)
+            assert np.all(np.diff(energy) <= 0.0), seed
 
     @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
                              ids=["fig2", "fig3"])
