@@ -8,29 +8,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import DivergenceError
 from .data_io import PlotSpec, read_csv_1d, read_pgm, write_csv_1d, write_pgm, \
     write_svg_plot
 from .experiments import EXPERIMENT_NAMES, NOISY_COLOR, RESTORED_COLOR, \
-    params_dict, run_experiment, trace_summary
+    report_row, run_experiment
 from .nl_filter import FilterParams, denoise_1d, denoise_2d
 from .signals import compute_metrics, default_plateau_tau
 from .tv_baseline import TvParams, tv_denoise_1d, tv_denoise_2d
 
 
 def _dt_value(text: str):
-    if text == "auto":
-        return None
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"dt must be positive, got {text}")
-    return value
+    # FilterParams validates the value
+    return None if text == "auto" else float(text)
 
 
 def _add_common_flags(sub, tv: bool):
+    sub.add_argument("--input", type=Path, required=True)
+    sub.add_argument("--output", type=Path, default=None)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="fixed fidelity weight (default 1.0)")
@@ -63,6 +60,14 @@ def _add_common_flags(sub, tv: bool):
                      help="clean reference file; enables quality metrics")
 
 
+DENOISE_COMMANDS = (
+    ("denoise1d", "denoise a 1D CSV signal"),
+    ("denoise2d", "denoise a 2D PGM image"),
+    ("tv1d", "TV-denoise a 1D CSV signal"),
+    ("tv2d", "TV-denoise a 2D PGM image"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapden",
@@ -70,31 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    d1 = subs.add_parser("denoise1d", help="denoise a 1D CSV signal")
-    d1.add_argument("--input", type=Path, required=True)
-    d1.add_argument("--output", type=Path, default=None)
-    _add_common_flags(d1, tv=False)
-    d1.set_defaults(func=cmd_denoise1d)
-
-    d2 = subs.add_parser("denoise2d", help="denoise a 2D PGM image")
-    d2.add_argument("--input", type=Path, required=True)
-    d2.add_argument("--output", type=Path, default=None)
-    _add_common_flags(d2, tv=False)
-    d2.add_argument("--warm-start", type=Path, default=None,
-                    help="PGM used as the initial state instead of the input")
-    d2.set_defaults(func=cmd_denoise2d)
-
-    t1 = subs.add_parser("tv1d", help="TV-denoise a 1D CSV signal")
-    t1.add_argument("--input", type=Path, required=True)
-    t1.add_argument("--output", type=Path, default=None)
-    _add_common_flags(t1, tv=True)
-    t1.set_defaults(func=cmd_tv1d)
-
-    t2 = subs.add_parser("tv2d", help="TV-denoise a 2D PGM image")
-    t2.add_argument("--input", type=Path, required=True)
-    t2.add_argument("--output", type=Path, default=None)
-    _add_common_flags(t2, tv=True)
-    t2.set_defaults(func=cmd_tv2d)
+    for command, help_text in DENOISE_COMMANDS:
+        sub = subs.add_parser(command, help=help_text)
+        _add_common_flags(sub, tv=command.startswith("tv"))
+        if command == "denoise2d":
+            sub.add_argument("--warm-start", type=Path, default=None,
+                             help="PGM used as the initial state instead of "
+                                  "the input")
+        sub.set_defaults(func=cmd_denoise)
 
     ex = subs.add_parser("experiment", help="run a figure-reproduction experiment")
     ex.add_argument("name", choices=EXPERIMENT_NAMES)
@@ -131,94 +119,58 @@ def _tv_params(args) -> TvParams:
     )
 
 
-def _emit(args, command: str, params, noisy, restored, trace,
-          clean, artifacts) -> None:
+def cmd_denoise(args) -> int:
+    """denoise1d, denoise2d, tv1d and tv2d: the command name picks the file
+    format (CSV in 1D, PGM in 2D) and the method."""
+    command = args.command
+    one_d = command.endswith("1d")
+    # every reader, writer and solver is looked up by name at call time, so
+    # it can be wrapped
+    read = read_csv_1d if one_d else read_pgm
+    noisy = read(args.input)
+    kwargs = {}
+    if command == "denoise2d" and args.warm_start is not None:
+        kwargs["warm_start"] = read_pgm(args.warm_start)
+    if command.startswith("tv"):
+        params = _tv_params(args)
+        solve = tv_denoise_1d if one_d else tv_denoise_2d
+    else:
+        params = _filter_params(args)
+        solve = denoise_1d if one_d else denoise_2d
+    restored, trace = solve(noisy, params, **kwargs)
+
+    artifacts = []
+    if args.output is not None:
+        (write_csv_1d if one_d else write_pgm)(args.output, restored)
+        artifacts.append(args.output)
+    if args.plot is not None:
+        # a 2D plot shows the middle row
+        mid, label = (slice(None), "") if one_d else (noisy.rows // 2, " (middle row)")
+        write_svg_plot(args.plot, PlotSpec(640, 420, (
+            ("noisy" + label, NOISY_COLOR, noisy.values[mid]),
+            ("restored" + label, RESTORED_COLOR, restored.values[mid]),
+        )))
+        artifacts.append(args.plot)
     metrics_noisy = metrics_restored = None
-    if clean is not None:
+    if args.clean is not None:
+        clean = read(args.clean)
         tau = default_plateau_tau(clean)
-        metrics_noisy = asdict(compute_metrics(noisy, clean, tau))
-        metrics_restored = asdict(compute_metrics(restored, clean, tau))
+        metrics_noisy = compute_metrics(noisy, clean, tau)
+        metrics_restored = compute_metrics(restored, clean, tau)
     if args.report is not None:
-        row = {
-            "command": command,
-            "params": params_dict(params),
-            "metrics_noisy": metrics_noisy,
-            "metrics_restored": metrics_restored,
-            "trace_summary": trace_summary(trace),
-            "artifact_paths": [str(p) for p in artifacts],
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        row = report_row(command, params, metrics_noisy, metrics_restored,
+                         trace, artifacts)
+        args.report.write_text(json.dumps(row, sort_keys=True) + "\n",
+                               encoding="utf-8")
     if trace.converged:
         line = f"{command}: converged after {trace.iters_run} iterations"
     else:  # the cap, --iters, counts corrections: one fewer than the checks
         line = (f"{command}: stopped at the iteration cap after "
                 f"{trace.iters_run - 1} corrections")
     if metrics_restored is not None:
-        line += (f"; rel_err {metrics_noisy['rel_err']:.4g} -> "
-                 f"{metrics_restored['rel_err']:.4g}")
+        line += (f"; rel_err {metrics_noisy.rel_err:.4g} -> "
+                 f"{metrics_restored.rel_err:.4g}")
     print(line)
-
-
-def cmd_denoise1d(args) -> int:
-    noisy = read_csv_1d(args.input)
-    params = _filter_params(args)
-    restored, trace = denoise_1d(noisy, params)
-    return _finish_1d(args, "denoise1d", params, noisy, restored, trace)
-
-
-def cmd_tv1d(args) -> int:
-    noisy = read_csv_1d(args.input)
-    params = _tv_params(args)
-    restored, trace = tv_denoise_1d(noisy, params)
-    return _finish_1d(args, "tv1d", params, noisy, restored, trace)
-
-
-def _finish_1d(args, command, params, noisy, restored, trace) -> int:
-    artifacts = []
-    if args.output is not None:
-        write_csv_1d(args.output, restored)
-        artifacts.append(args.output)
-    if args.plot is not None:
-        write_svg_plot(args.plot, PlotSpec(640, 420, (
-            ("noisy", NOISY_COLOR, noisy.values),
-            ("restored", RESTORED_COLOR, restored.values),
-        )))
-        artifacts.append(args.plot)
-    clean = read_csv_1d(args.clean) if args.clean is not None else None
-    _emit(args, command, params, noisy, restored, trace, clean, artifacts)
-    return 0
-
-
-def cmd_denoise2d(args) -> int:
-    noisy = read_pgm(args.input)
-    warm = read_pgm(args.warm_start) if args.warm_start is not None else None
-    params = _filter_params(args)
-    restored, trace = denoise_2d(noisy, params, warm_start=warm)
-    return _finish_2d(args, "denoise2d", params, noisy, restored, trace)
-
-
-def cmd_tv2d(args) -> int:
-    noisy = read_pgm(args.input)
-    params = _tv_params(args)
-    restored, trace = tv_denoise_2d(noisy, params)
-    return _finish_2d(args, "tv2d", params, noisy, restored, trace)
-
-
-def _finish_2d(args, command, params, noisy, restored, trace) -> int:
-    artifacts = []
-    if args.output is not None:
-        write_pgm(args.output, restored)
-        artifacts.append(args.output)
-    if args.plot is not None:
-        mid = noisy.rows // 2
-        write_svg_plot(args.plot, PlotSpec(640, 420, (
-            ("noisy (middle row)", NOISY_COLOR, noisy.values[mid]),
-            ("restored (middle row)", RESTORED_COLOR, restored.values[mid]),
-        )))
-        artifacts.append(args.plot)
-    clean = read_pgm(args.clean) if args.clean is not None else None
-    _emit(args, command, params, noisy, restored, trace, clean, artifacts)
     return 0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field2D, RunTrace
+from .core import Field2D
 from .data_io import PlotSpec, write_csv_1d, write_pgm, write_svg_plot
 from .nl_filter import FilterParams, denoise_1d, denoise_2d
 from .signals import NoiseSpec, add_noise, compute_metrics, default_plateau_tau, \
@@ -56,160 +56,127 @@ def preserved_jump_count(values: np.ndarray, jump_nodes, height: float,
     return count
 
 
-def trace_summary(trace: RunTrace) -> dict:
-    """The trace fields a JSON-lines report row records."""
+def report_row(command: str, params, metrics_noisy, metrics_restored, trace,
+               artifacts, **extra) -> dict:
+    """One JSON-lines report row, shared by the CLI and the experiments.
+
+    ``params`` (FilterParams or TvParams), the metrics and the trace may be
+    None.  FilterParams.solver, which selects nothing, is left out; ``extra``
+    adds keys such as an experiment's method and seed.
+    """
     return {
-        "iters": trace.iters_run,
-        "converged": trace.converged,
-        "dt_used": trace.dt_used,
-        "wall_seconds": trace.wall_seconds,
-    }
-
-
-def params_dict(params) -> dict:
-    """A FilterParams or TvParams as a JSON-ready dict, without
-    FilterParams.solver, which selects nothing."""
-    d = asdict(params)
-    d.pop("solver", None)
-    return d
-
-
-def _report_row(name: str, method: str, seed: int, n: int, params,
-                metrics_noisy, metrics_restored, trace, artifacts,
-                extra: dict | None = None) -> dict:
-    row = {
-        "command": f"experiment:{name}",
-        "method": method,
-        "seed": seed,
-        "n": n,
-        "params": params_dict(params) if params is not None else {},
-        "metrics_noisy": asdict(metrics_noisy),
-        "metrics_restored": asdict(metrics_restored) if metrics_restored else None,
-        "trace_summary": trace_summary(trace) if trace else None,
+        "command": command,
+        "params": {} if params is None else
+                  {k: v for k, v in asdict(params).items() if k != "solver"},
+        "metrics_noisy": None if metrics_noisy is None else asdict(metrics_noisy),
+        "metrics_restored":
+            None if metrics_restored is None else asdict(metrics_restored),
+        "trace_summary": None if trace is None else {
+            "iters": trace.iters_run,
+            "converged": trace.converged,
+            "dt_used": trace.dt_used,
+            "wall_seconds": trace.wall_seconds,
+        },
         "artifact_paths": [str(p) for p in artifacts],
+        **extra,
     }
-    if extra:
-        row.update(extra)
-    return row
 
 
 def _plot_1d(path, title: str, series) -> None:
     write_svg_plot(path, PlotSpec(640, 420, tuple(series), title=title))
 
 
-def _field_to_unit(values: np.ndarray) -> np.ndarray:
-    # fixed affine map [-1, 1] -> [0, 1]; the test surface lives in [-1, 1]
-    return (values + 1.0) / 2.0
+def _write(path, u) -> None:
+    """Write a Signal1D as CSV, or a Field2D as PGM."""
+    if isinstance(u, Field2D):
+        # fixed affine map [-1, 1] -> [0, 1]; the test surface lives in [-1, 1]
+        write_pgm(path, u.with_values((u.values + 1.0) / 2.0))
+    else:
+        write_csv_1d(path, u)
 
 
-def _write_field_pgm(path, field: Field2D) -> None:
-    write_pgm(path, field.with_values(_field_to_unit(field.values)))
-
-
-def _instance(sample, delta_rel: float, n: int, seed: int, outdir: Path):
+def _instance(sample, n: int, seed: int):
     clean = sample(n)
+    delta_rel = DELTA_REL_1D if clean.values.ndim == 1 else DELTA_REL_2D
     noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=delta_rel))
-    delta = float(np.linalg.norm(noisy.values - clean.values))
-    outdir.mkdir(parents=True, exist_ok=True)  # only once the size passed
-    return clean, noisy, delta
+    return clean, noisy, float(np.linalg.norm(noisy.values - clean.values))
+
+
+def _write_data(outdir: Path, stem: str, ext: str, seed: int,
+                clean, noisy) -> list[Path]:
+    # the first write of every experiment: the outdir appears only once
+    # all of its data were built, so a rejected size leaves nothing behind
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / f"{stem}{kind}_{seed}.{ext}" for kind in ("clean", "noisy")]
+    _write(paths[0], clean)
+    _write(paths[1], noisy)
+    return paths
 
 
 def _run_fig1(seed: int, n: int, outdir: Path) -> list[dict]:
+    # both instances before any write: the jump signal rejects sizes the
+    # sine accepts
+    instances = [(tag, *_instance(sampler, n, seed))
+                 for tag, sampler in (("f", sample_f_sine), ("g", sample_g_jumps))]
     rows = []
-    for tag, sampler in (("f", sample_f_sine), ("g", sample_g_jumps)):
-        clean, noisy, _ = _instance(sampler, DELTA_REL_1D, n, seed, outdir)
-        tau = default_plateau_tau(clean)
-        paths = [
-            outdir / f"fig1_{tag}-clean_{seed}.csv",
-            outdir / f"fig1_{tag}-noisy_{seed}.csv",
-            outdir / f"fig1_{tag}_{seed}.svg",
-        ]
-        write_csv_1d(paths[0], clean)
-        write_csv_1d(paths[1], noisy)
+    for tag, clean, noisy, _ in instances:
+        paths = _write_data(outdir, f"fig1_{tag}-", "csv", seed, clean, noisy)
+        paths.append(outdir / f"fig1_{tag}_{seed}.svg")
         _plot_1d(paths[2], f"original and noisy {tag}", [
             ("clean", CLEAN_COLOR, clean.values),
             ("noisy", NOISY_COLOR, noisy.values),
         ])
-        rows.append(_report_row(
-            "fig1", tag, seed, n, None,
-            compute_metrics(noisy, clean, tau), None, None, paths,
-        ))
-    return rows
-
-
-def _run_1d_comparison(name: str, sampler, seed: int, n: int,
-                       outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance(sampler, DELTA_REL_1D, n, seed, outdir)
-    tau = default_plateau_tau(clean)
-    noisy_metrics = compute_metrics(noisy, clean, tau)
-    nlap_params = replace(NLAP_1D, target_delta=delta)
-
-    u_nl, tr_nl = denoise_1d(noisy, nlap_params)
-    u_tv, tr_tv = tv_denoise_1d(noisy, TV_1D)
-
-    base = [outdir / f"{name}_clean_{seed}.csv", outdir / f"{name}_noisy_{seed}.csv"]
-    write_csv_1d(base[0], clean)
-    write_csv_1d(base[1], noisy)
-
-    rows = []
-    jump_nodes = [n // 5, 2 * n // 5, 3 * n // 5, 4 * n // 5] if name == "fig3" else None
-    for method, params, u, tr in (
-        ("nlap", nlap_params, u_nl, tr_nl),
-        ("tv", TV_1D, u_tv, tr_tv),
-    ):
-        csv_path = outdir / f"{name}_{method}_{seed}.csv"
-        svg_path = outdir / f"{name}_{method}_{seed}.svg"
-        write_csv_1d(csv_path, u)
-        _plot_1d(svg_path, f"{name}: noisy and {method} restoration", [
-            ("noisy", NOISY_COLOR, noisy.values),
-            (method, RESTORED_COLOR, u.values),
-        ])
-        extra = {}
-        if jump_nodes is not None:
-            extra["jumps_preserved"] = preserved_jump_count(u.values, jump_nodes, 2.0)
-        rows.append(_report_row(
-            name, method, seed, n, params, noisy_metrics,
-            compute_metrics(u, clean, tau), tr, base + [csv_path, svg_path],
-            extra,
+        rows.append(report_row(
+            "experiment:fig1", None,
+            compute_metrics(noisy, clean, default_plateau_tau(clean)),
+            None, None, paths, method=tag, seed=seed, n=n,
         ))
     return rows
 
 
 def _run_fig4(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, _ = _instance(sample_f2d, DELTA_REL_2D, n, seed, outdir)
-    tau = default_plateau_tau(clean)
-    paths = [outdir / f"fig4_clean_{seed}.pgm", outdir / f"fig4_noisy_{seed}.pgm"]
-    _write_field_pgm(paths[0], clean)
-    _write_field_pgm(paths[1], noisy)
-    return [_report_row(
-        "fig4", "data", seed, n, None,
-        compute_metrics(noisy, clean, tau), None, None, paths,
+    clean, noisy, _ = _instance(sample_f2d, n, seed)
+    paths = _write_data(outdir, "fig4_", "pgm", seed, clean, noisy)
+    return [report_row(
+        "experiment:fig4", None,
+        compute_metrics(noisy, clean, default_plateau_tau(clean)),
+        None, None, paths, method="data", seed=seed, n=n,
     )]
 
 
-def _run_fig5(seed: int, n: int, outdir: Path) -> list[dict]:
-    clean, noisy, delta = _instance(sample_f2d, DELTA_REL_2D, n, seed, outdir)
+def _run_comparison(name: str, sampler, seed: int, n: int,
+                    outdir: Path) -> list[dict]:
+    """Both methods on one noisy instance: CSV and SVG artifacts in 1D, PGM
+    in 2D."""
+    clean, noisy, delta = _instance(sampler, n, seed)
+    one_d = clean.values.ndim == 1
     tau = default_plateau_tau(clean)
     noisy_metrics = compute_metrics(noisy, clean, tau)
-    nlap_params = replace(NLAP_2D, target_delta=delta)
-
-    u_nl, tr_nl = denoise_2d(noisy, nlap_params)
-    u_tv, tr_tv = tv_denoise_2d(noisy, TV_2D)
-
-    base = [outdir / f"fig5_clean_{seed}.pgm", outdir / f"fig5_noisy_{seed}.pgm"]
-    _write_field_pgm(base[0], clean)
-    _write_field_pgm(base[1], noisy)
-
+    nlap = replace(NLAP_1D if one_d else NLAP_2D, target_delta=delta)
+    tv = TV_1D if one_d else TV_2D
+    # the solvers are looked up by name at call time, so they can be wrapped
+    runs = [("nlap", nlap, *(denoise_1d if one_d else denoise_2d)(noisy, nlap)),
+            ("tv", tv, *(tv_denoise_1d if one_d else tv_denoise_2d)(noisy, tv))]
+    ext = "csv" if one_d else "pgm"
+    base = _write_data(outdir, f"{name}_", ext, seed, clean, noisy)
     rows = []
-    for method, params, u, tr in (
-        ("nlap", nlap_params, u_nl, tr_nl),
-        ("tv", TV_2D, u_tv, tr_tv),
-    ):
-        pgm_path = outdir / f"fig5_{method}_{seed}.pgm"
-        _write_field_pgm(pgm_path, u)
-        rows.append(_report_row(
-            "fig5", method, seed, n, params, noisy_metrics,
-            compute_metrics(u, clean, tau), tr, base + [pgm_path],
+    for method, params, u, tr in runs:
+        paths = [outdir / f"{name}_{method}_{seed}.{ext}"]
+        _write(paths[0], u)
+        if one_d:
+            paths.append(outdir / f"{name}_{method}_{seed}.svg")
+            _plot_1d(paths[1], f"{name}: noisy and {method} restoration", [
+                ("noisy", NOISY_COLOR, noisy.values),
+                (method, RESTORED_COLOR, u.values),
+            ])
+        extra = {}
+        if name == "fig3":  # four jumps of height 2, at the nodes k*n//5
+            extra["jumps_preserved"] = preserved_jump_count(
+                u.values, [k * n // 5 for k in (1, 2, 3, 4)], 2.0)
+        rows.append(report_row(
+            f"experiment:{name}", params, noisy_metrics,
+            compute_metrics(u, clean, tau), tr, base + paths,
+            method=method, seed=seed, n=n, **extra,
         ))
     return rows
 
@@ -224,10 +191,7 @@ def run_experiment(name: str, seed: int, n: int | None, outdir) -> list[dict]:
         n = DEFAULT_N_1D if name in ("fig1", "fig2", "fig3") else DEFAULT_N_2D
     if name == "fig1":
         return _run_fig1(seed, n, outdir)
-    if name == "fig2":
-        return _run_1d_comparison("fig2", sample_f_sine, seed, n, outdir)
-    if name == "fig3":
-        return _run_1d_comparison("fig3", sample_g_jumps, seed, n, outdir)
     if name == "fig4":
         return _run_fig4(seed, n, outdir)
-    return _run_fig5(seed, n, outdir)
+    sampler = {"fig2": sample_f_sine, "fig3": sample_g_jumps, "fig5": sample_f2d}[name]
+    return _run_comparison(name, sampler, seed, n, outdir)

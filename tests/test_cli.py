@@ -5,12 +5,18 @@ import pytest
 
 from lapden import (
     Field2D,
+    FilterParams,
     NoiseSpec,
     Signal1D,
+    TvParams,
     add_noise,
+    denoise_1d,
+    denoise_2d,
     read_csv_1d,
     read_pgm,
     sample_f_sine,
+    tv_denoise_1d,
+    tv_denoise_2d,
     write_csv_1d,
     write_pgm,
 )
@@ -93,7 +99,8 @@ class TestDenoise1D:
         assert code == 2
 
     @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--lambda", "nan"],
-                                       ["--delta", "inf"], ["--tol", "nan"]])
+                                       ["--delta", "inf"], ["--tol", "nan"],
+                                       ["--dt", "nan"]])
     def test_non_finite_parameter_rejected(self, constant_csv, flags, capsys):
         code = main(["denoise1d", "--input", str(constant_csv)] + flags)
         assert code == 2
@@ -238,6 +245,47 @@ class TestTv2D:
         assert out.exists()
 
 
+# command -> its flags and the library call they stand for
+LIBRARY_CALLS = {
+    "denoise1d": (["--delta", "0.5"], denoise_1d, FilterParams(target_delta=0.5)),
+    "tv1d": (["--lambda", "3"], tv_denoise_1d, TvParams(lam=3.0)),
+    "denoise2d": (["--lambda", "2"], denoise_2d, FilterParams(lam=2.0)),
+    "tv2d": (["--lambda", "5"], tv_denoise_2d, TvParams(lam=5.0)),
+}
+
+
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+def test_command_writes_what_the_library_returns(sine_files, tmp_path, command):
+    flags, solve, params = LIBRARY_CALLS[command]
+    one_d = command.endswith("1d")
+    if one_d:
+        src, read, write, ext = sine_files[1], read_csv_1d, write_csv_1d, "csv"
+    else:
+        rng = np.random.default_rng(53)
+        src, read, write, ext = tmp_path / "noisy.pgm", read_pgm, write_pgm, "pgm"
+        write_pgm(src, Field2D(np.clip(0.5 + 0.1 * rng.normal(size=(12, 10)), 0, 1)))
+    kwargs = {}
+    if command == "denoise2d":
+        warm = tmp_path / "warm.pgm"
+        write_pgm(warm, Field2D(np.full((12, 10), 0.5)))
+        flags = flags + ["--warm-start", str(warm)]
+        kwargs["warm_start"] = read_pgm(warm)
+    out, expected = tmp_path / f"out.{ext}", tmp_path / f"expected.{ext}"
+    report = tmp_path / "report.jsonl"
+    code = main([command, "--input", str(src), "--output", str(out),
+                 "--report", str(report)] + flags)
+    assert code == 0
+    u, trace = solve(read(src), params, **kwargs)
+    write(expected, u)
+    if one_d:
+        assert np.array_equal(read_csv_1d(out).values, read_csv_1d(expected).values)
+    else:
+        assert out.read_bytes() == expected.read_bytes()
+    summary = json.loads(report.read_text())["trace_summary"]
+    assert summary["iters"] == trace.iters_run
+    assert summary["converged"] == trace.converged
+
+
 class TestExperiment:
     def test_unknown_name(self, tmp_path):
         code = main(["experiment", "fig9", "--outdir", str(tmp_path)])
@@ -250,9 +298,11 @@ class TestExperiment:
         assert code == 2
         assert "need n >= 4, got 0" in capsys.readouterr().err
 
-    def test_rejected_size_leaves_no_outdir(self, tmp_path):
+    @pytest.mark.parametrize("name, n", [("fig2", 1), ("fig1", 5)])
+    def test_rejected_size_leaves_no_outdir(self, tmp_path, name, n):
+        # fig1 --n 5: the sine accepts n = 5, the jump signal does not
         outdir = tmp_path / "fresh"
-        code = main(["experiment", "fig2", "--n", "1", "--outdir", str(outdir)])
+        code = main(["experiment", name, "--n", str(n), "--outdir", str(outdir)])
         assert code == 2
         assert not outdir.exists()
 
