@@ -128,6 +128,12 @@ def cmd_denoise(args) -> int:
     # it can be wrapped
     read = read_csv_1d if one_d else read_pgm
     noisy = read(args.input)
+    metrics_noisy = metrics_restored = None
+    if args.clean is not None:
+        # checked before the solve, so that a rejected file leaves no output
+        clean = read(args.clean)
+        tau = default_plateau_tau(clean)
+        metrics_noisy = compute_metrics(noisy, clean, tau)
     kwargs = {}
     if command == "denoise2d" and args.warm_start is not None:
         kwargs["warm_start"] = read_pgm(args.warm_start)
@@ -151,11 +157,7 @@ def cmd_denoise(args) -> int:
             ("restored" + label, RESTORED_COLOR, restored.values[mid]),
         )))
         artifacts.append(args.plot)
-    metrics_noisy = metrics_restored = None
     if args.clean is not None:
-        clean = read(args.clean)
-        tau = default_plateau_tau(clean)
-        metrics_noisy = compute_metrics(noisy, clean, tau)
         metrics_restored = compute_metrics(restored, clean, tau)
     if args.report is not None:
         row = report_row(command, params, metrics_noisy, metrics_restored,

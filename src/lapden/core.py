@@ -1,7 +1,7 @@
 """Shared value types (sampled signals, sampled fields, run diagnostics) and
 the one iteration loop that every solver runs: the nonlinear filter, in 1D
 and 2D, by lagged diffusivity or by explicit Euler steps, and the TV
-baseline."""
+baseline, by primal-dual Newton steps."""
 
 from __future__ import annotations
 
@@ -138,8 +138,8 @@ class RunTrace:
     and lambda_history[k] the lam of that check (re-estimated from u_k in
     adaptive mode; the nonlinear filter's correction steps take a lam of
     their own, which is not recorded).  dt_used is the explicit Euler step
-    at the last lam, and None for lagged diffusivity, which takes no time
-    step.
+    at the last lam, and None for the paths that take no time step (lagged
+    diffusivity, primal-dual Newton).
     """
 
     iters_run: int
@@ -180,7 +180,8 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     u, the fidelity weight it was formed with, and the frozen state that
     step needs.
     step(frozen, lam, r) returns the correction: A^-1 r for the operator A
-    frozen at u (lagged diffusivity) or dt r (explicit Euler).  The run
+    formed at u (lagged diffusivity, primal-dual Newton) or dt r (explicit
+    Euler).  The run
     converges once ||r|| <= 10 tol lam ||u - u0||, and stops unconverged
     after max_iters corrections (see RunTrace for what is recorded).
     """

@@ -98,6 +98,23 @@ class TestDenoise1D:
         code = main(["denoise1d", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["denoise1d", "tv1d"])
+    @pytest.mark.parametrize("clean", ["missing", "short"])
+    def test_rejected_clean_file_leaves_no_output(self, sine_files, tmp_path,
+                                                  command, clean):
+        clean_path, noisy_path = sine_files
+        if clean == "short":
+            clean_path = tmp_path / "short.csv"
+            write_csv_1d(clean_path, sample_f_sine(50))
+        else:
+            clean_path = tmp_path / "nope.csv"
+        out, plot, report = (tmp_path / name for name in ("o.csv", "o.svg", "o.jsonl"))
+        code = main([command, "--input", str(noisy_path), "--output", str(out),
+                     "--plot", str(plot), "--report", str(report),
+                     "--clean", str(clean_path)])
+        assert code == 2
+        assert not out.exists() and not plot.exists() and not report.exists()
+
     @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--lambda", "nan"],
                                        ["--delta", "inf"], ["--tol", "nan"],
                                        ["--dt", "nan"]])
