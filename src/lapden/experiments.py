@@ -29,8 +29,8 @@ DELTA_REL_2D = 0.05
 # method parameters tuned on the default seed; recorded in every report row
 NLAP_1D = FilterParams(epsilon=1e-2, p=0.5, tol=1e-6, max_iters=200_000)
 NLAP_2D = FilterParams(epsilon=1e-2, p=0.5, tol=1e-6, max_iters=200_000)
-TV_1D = TvParams(lam=3.0, beta=1e-6, tol=1e-6, max_iters=400_000)
-TV_2D = TvParams(lam=10.0, beta=1e-6, tol=1e-6, max_iters=400_000)
+TV_1D = TvParams(lam=3.0, beta=1e-6, tol=1e-6, max_iters=1_000)
+TV_2D = TvParams(lam=10.0, beta=1e-6, tol=1e-6, max_iters=1_000)
 
 NOISY_COLOR = "#d62728"
 RESTORED_COLOR = "#1f77b4"

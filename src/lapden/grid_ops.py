@@ -12,6 +12,9 @@ import scipy.linalg
 from .core import Field2D
 
 
+_gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
+
+
 class SingularSystemError(ValueError):
     """Raised when a banded solve hits a singular (to tolerance) pivot."""
 
@@ -119,14 +122,17 @@ def apply_banded(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs for A in band storage (see build_d0) by banded LU with
-    partial pivoting within the band."""
+    partial pivoting within the band (LAPACK gbsv, called directly: the
+    scipy.linalg.solve_banded wrapper costs more than the solve at these
+    sizes)."""
     ab = np.asarray(ab, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     w = _half_bandwidth(ab, rhs)
-    try:
-        x = scipy.linalg.solve_banded((w, w), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError(str(err)) from err
+    lu = np.zeros((3 * w + 1, rhs.size))  # gbsv keeps w extra rows for the LU fill
+    lu[w:] = ab
+    x, info = _gbsv(w, w, lu, rhs, overwrite_ab=True)[2:]
+    if info > 0:
+        raise SingularSystemError(f"singular matrix: zero pivot in column {info}")
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("banded solve produced non-finite values")
     return x

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lapden import (
     Field2D,
@@ -187,6 +188,27 @@ class TestSolveBanded:
         zero = np.zeros((1, 3))
         with pytest.raises(SingularSystemError):
             solve_banded(zero, np.ones(3))
+
+    def test_singular_pentadiagonal_raises(self):
+        # LAPACK reports the zero pivot (info > 0)
+        with pytest.raises(SingularSystemError, match="singular matrix"):
+            solve_banded(np.zeros((5, 6)), np.ones(6))
+
+    def test_non_finite_solution_raises(self):
+        # LAPACK reports no zero pivot, but 1e300 / 1e-300 overflows
+        tiny = np.full((1, 4), 1e-300)
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            solve_banded(tiny, np.full(4, 1e300))
+
+    @pytest.mark.parametrize("n", [5, 64, 257])
+    def test_matches_scipy_bit_for_bit(self, n):
+        # the direct gbsv call is the LU that scipy.linalg.solve_banded
+        # runs for a pentadiagonal matrix
+        rng = np.random.default_rng(n)
+        m = build_lagged_1d(rng.uniform(0.05, 3.0, size=n), 0.5, 0.3)
+        rhs = rng.normal(size=n)
+        expect = scipy.linalg.solve_banded((2, 2), m, rhs)
+        assert np.array_equal(solve_banded(m, rhs), expect)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

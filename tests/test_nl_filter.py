@@ -25,8 +25,37 @@ from lapden import (
     stable_step_bound,
 )
 from lapden.experiments import NLAP_1D, NLAP_2D
+from lapden.grid_ops import apply_banded, build_d0, build_lagged_1d, solve_banded
 
 from test_grid_ops import dense_d0, dense_d1
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Replace nl_filter's binding of name by a wrapper that logs each call
+    in the returned list."""
+    calls = []
+    original = getattr(nl_filter, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(nl_filter, name, counting)
+    return calls
+
+
+def lagged_iteration(u0: Signal1D, params: FilterParams, steps: int) -> np.ndarray:
+    """steps lagged-diffusivity corrections at the fixed lam of params, as
+    the filter took them before its Newton step: u <- u + A^-1 r with
+    A = D1 diag((w^2 + eps)^-p) D0 + lam I, w = D0 u."""
+    d0 = build_d0(len(u0), u0.h)
+    u = u0.values
+    for _ in range(steps):
+        w = apply_banded(d0, u)
+        r = rhs_1d(u0.with_values(u), u0, params)
+        g = (w * w + params.epsilon) ** -params.p
+        u = u + solve_banded(build_lagged_1d(g, u0.h, params.lam), r)
+    return u
 
 
 def noise_signal(n: int, seed: int) -> Signal1D:
@@ -268,26 +297,25 @@ class TestDenoise1D:
 
     @pytest.mark.parametrize("path", ["explicit", "lagged"])
     def test_one_flux_evaluation_per_step(self, monkeypatch, path):
-        # both paths evaluate the flux once per checked iterate: the residual
-        # there serves the stationarity check and the next correction
+        # explicit Euler evaluates the flux once per checked iterate: the
+        # residual there serves the stationarity check and the next
+        # correction.  The Newton path evaluates it once per solve, at the
+        # trial point, and the check at an accepted trial reuses it; so
+        # flux calls = solves + 1 (the data), a rejected trial included
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
-        calls = []
-        original = nl_filter.flux
-
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(nl_filter, "flux", counting)
+        calls = count_calls(monkeypatch, "flux")
+        solves = count_calls(monkeypatch, "solve_banded")
         params = replace(NLAP_1D, target_delta=delta)
         if path == "explicit":
             _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
                                            noisy.h, params)
+            assert len(calls) == trace.iters_run
         else:
             _, trace = denoise_1d(noisy, params)
-        assert len(calls) == trace.iters_run
+            assert len(calls) == len(solves) + 1
+            assert len(solves) > trace.iters_run - 1  # a trial was rejected
         assert trace.converged
 
 
@@ -410,7 +438,7 @@ class TestLagged1D:
         restored, trace = denoise_1d(noisy, params)
         assert trace.converged
         assert trace.dt_used is None
-        assert trace.iters_run < 60
+        assert trace.iters_run < 15
         if lam is None:
             fid = np.linalg.norm(restored.values - noisy.values)
             assert abs(fid - delta) <= 1e-4 * delta
@@ -430,6 +458,46 @@ class TestLagged1D:
         expected = u0.values + np.linalg.solve(a, -(d1 @ (g * w)))
         assert trace.iters_run == 2
         assert np.allclose(stepped.values, expected, rtol=1e-12, atol=1e-12)
+
+    def test_newton_step_matches_dense_oracle(self, monkeypatch):
+        # at p = 0.5 an accepted trial is u1 = u0 + J^-1 r(u0), with
+        # J = D1 diag(F'(w)) D0 + lam I and F'(w) = eps (w^2 + eps)^-3/2
+        rng = np.random.default_rng(16)
+        n = 9
+        u0 = Signal1D(rng.normal(size=n))
+        params = FilterParams(lam=10.0, epsilon=0.1, max_iters=1, tol=1e-300)
+        solves = count_calls(monkeypatch, "solve_banded")
+        stepped, trace = denoise_1d(u0, params)
+        d0, d1 = dense_d0(n, 1.0), dense_d1(n, 1.0)
+        w = d0 @ u0.values
+        fprime = params.epsilon * (w * w + params.epsilon) ** -1.5
+        jac = d1 @ np.diag(fprime) @ d0 + params.lam * np.eye(n)
+        r = -(d1 @ flux(w, params.epsilon, params.p))
+        expected = u0.values + np.linalg.solve(jac, r)
+        assert len(solves) == 1  # the trial was kept
+        assert trace.iters_run == 2
+        assert np.allclose(stepped.values, expected, rtol=1e-12, atol=1e-12)
+        # the lagged step lands elsewhere
+        assert np.abs(lagged_iteration(u0, params, 1) - expected).max() > 1e-3
+
+    def test_rejected_trial_takes_the_lagged_step(self, monkeypatch):
+        # from far off the equilibrium the Newton trial does not halve the
+        # residual, and the correction is the lagged step bit for bit
+        rng = np.random.default_rng(16)
+        u0 = Signal1D(rng.normal(size=9))
+        params = FilterParams(lam=0.7, epsilon=3e-2, max_iters=1, tol=1e-300)
+        solves = count_calls(monkeypatch, "solve_banded")
+        stepped, _ = denoise_1d(u0, params)
+        assert len(solves) == 2  # the Newton trial, then the lagged step
+        assert np.array_equal(stepped.values, lagged_iteration(u0, params, 1))
+
+    def test_other_p_takes_only_lagged_steps(self):
+        # F' changes sign for p > 0.5, so there every step is the lagged one
+        noisy = add_noise(sample_g_jumps(60), NoiseSpec(seed=5, delta_rel=0.09))
+        params = FilterParams(lam=2.0, p=0.75, max_iters=12, tol=1e-300)
+        restored, trace = denoise_1d(noisy, params)
+        assert trace.iters_run == 13
+        assert np.array_equal(restored.values, lagged_iteration(noisy, params, 12))
 
     def test_zero_lambda_estimate_keeps_steps_bounded(self, monkeypatch):
         # lam = 0 leaves A singular, since D0 annihilates constants; the
@@ -552,8 +620,7 @@ class TestAdaptiveSecant:
         assert trace.converged
         fid = np.linalg.norm(restored.values - noisy.values)
         assert abs(fid / delta - 1.0) <= 1e-4
-        if sampler is sample_f_sine:
-            assert trace.iters_run <= 25
+        assert trace.iters_run <= (25 if sampler is sample_f_sine else 12)
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_sine_256_outer_steps(self, seed):
@@ -586,6 +653,28 @@ class TestAdaptiveSecant:
             noisy, replace(params, lam=trace.lambda_history[-1], tol=1e-10))
         assert oracle_trace.converged
         assert np.abs(restored.values - oracle.values).max() <= 1e-5
+
+
+class TestNewtonSweep:
+    """The Newton step with its lagged fallback on a spread of shapes,
+    sizes, noise levels and epsilons: every adaptive solve converges and
+    lands on delta."""
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-1])
+    @pytest.mark.parametrize("rel", [0.02, 0.30])
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize("sampler", [sample_f_sine, sample_g_jumps],
+                             ids=["sine", "jumps"])
+    def test_converges_on_delta(self, sampler, n, rel, epsilon):
+        clean = sampler(n)
+        noisy = add_noise(clean, NoiseSpec(seed=7, delta_rel=rel))
+        delta = float(np.linalg.norm(noisy.values - clean.values))
+        params = replace(NLAP_1D, epsilon=epsilon, target_delta=delta,
+                         max_iters=100)
+        restored, trace = denoise_1d(noisy, params)
+        assert trace.converged
+        fid = np.linalg.norm(restored.values - noisy.values)
+        assert abs(fid / delta - 1.0) <= 1e-4
 
 
 class TestFilterParamsValidation:

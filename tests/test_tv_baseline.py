@@ -269,7 +269,7 @@ class TestTvDenoise1D:
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         restored, trace = tv_denoise_1d(
-            noisy, TvParams(lam=3.0, tol=1e-6, max_iters=400_000))
+            noisy, TvParams(lam=3.0, tol=1e-6, max_iters=1_000))
         assert trace.converged
         rel = np.linalg.norm(restored.values - clean.values) \
             / np.linalg.norm(clean.values)
@@ -292,7 +292,7 @@ class TestTvDenoise1D:
     def test_stationary_residual_on_convergence(self):
         clean = sample_f_sine(60)
         noisy = add_noise(clean, NoiseSpec(seed=26, delta_rel=0.05))
-        params = TvParams(lam=2.0, tol=1e-6, max_iters=400_000)
+        params = TvParams(lam=2.0, tol=1e-6, max_iters=1_000)
         restored, trace = tv_denoise_1d(noisy, params)
         assert trace.converged
         stat = np.linalg.norm(tv_rhs_1d(restored, noisy, params))
@@ -311,7 +311,7 @@ class TestTvDenoise2D:
         clean = Field2D(np.add.outer(np.linspace(0, 1, 16), np.zeros(16)))
         noisy = add_noise(clean, NoiseSpec(seed=27, delta_rel=0.1))
         restored, trace = tv_denoise_2d(
-            noisy, TvParams(lam=8.0, tol=1e-5, max_iters=400_000))
+            noisy, TvParams(lam=8.0, tol=1e-5, max_iters=1_000))
         err_before = np.linalg.norm(noisy.values - clean.values)
         err_after = np.linalg.norm(restored.values - clean.values)
         assert err_after < err_before
