@@ -128,9 +128,13 @@ def cmd_denoise(args) -> int:
     # it can be wrapped
     read = read_csv_1d if one_d else read_pgm
     noisy = read(args.input)
+    # the clean file and the output directories are checked before the
+    # solve, so that a rejected run leaves no output
+    for path in (args.output, args.plot, args.report):
+        if path is not None and not path.parent.is_dir():
+            raise ValueError(f"no such directory: {path.parent}")
     metrics_noisy = metrics_restored = None
     if args.clean is not None:
-        # checked before the solve, so that a rejected file leaves no output
         clean = read(args.clean)
         tau = default_plateau_tau(clean)
         metrics_noisy = compute_metrics(noisy, clean, tau)

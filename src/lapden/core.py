@@ -172,6 +172,12 @@ def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
     return stat_norm <= tol * max(norm_u0, 1.0)
 
 
+# the relative residual ||b - A x|| <= _INNER_RTOL ||b|| to which a step's
+# inexact inner solve takes A^-1 b (nonlinear filter: GMRES, TV: CG, both in
+# 2D); the loop certifies the equilibrium whatever the steps did
+_INNER_RTOL = 1e-2
+
+
 def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
              residual, step) -> tuple[np.ndarray, RunTrace]:
     """The iteration from u to the equilibrium of the data u0v, for every path.

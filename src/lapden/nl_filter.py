@@ -5,29 +5,29 @@ the double-Laplacian analogue in 2D), which solves the fourth-order
 stationary filter equation.  F saturates large curvature, so
 discontinuities survive while oscillatory noise is diffused away.
 
-Both dimensions follow one path rule (_evolve), take their pair of
-Laplacians from one place (_laplacians) and run one loop, core._iterate,
-which the TV baseline runs too.  _iterate_filter forms the stationary
-residual r; the two paths differ only in the correction step.  A fixed time
-step, or lambda = 0 without a noise target, takes explicit Euler steps
+Both dimensions take their pair of Laplacians from one place (_laplacians)
+and run one loop, _iterate_filter on core._iterate, which the TV baseline
+runs too.  _iterate_filter forms the stationary residual r; the paths
+differ only in the correction step, and _evolve alone chooses it.  A fixed
+time step, or lambda = 0 without a noise target, takes explicit Euler steps
 u <- u + dt r (_explicit).  Otherwise the equilibrium is reached without
 time stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
 "Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
 (1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
 step freezes g at w = L_N u and takes u <- u + A^-1 r with
-A = L_D diag(g) L_N + lambda I (_lagged_filter).  L_N and L_D are the
-dimension's zero-slope and zero-value Laplacians: D0 and D1 in 1D,
-five-point stencils in 2D.  Only the inner solve differs between the
-dimensions.  In 1D A is pentadiagonal, is written band by band in closed
-form (grid_ops.build_lagged_1d) and is solved exactly by banded LU.  In 2D
-A is too large for that and non-symmetric (the mirror and zero-boundary
-Laplacians differ), so A^-1 r is approximated by one cycle of
+A = L_D diag(g) L_N + lambda I.  L_N and L_D are the dimension's zero-slope
+and zero-value Laplacians: D0 and D1 in 1D, five-point stencils in 2D.
+Only the inner solve differs between the dimensions.  In 1D A is
+pentadiagonal, is written band by band in closed form
+(grid_ops.build_lagged_1d) and is solved exactly by banded LU (_lagged_1d).
+In 2D A is too large for that and non-symmetric (the mirror and
+zero-boundary Laplacians differ), so A^-1 r is approximated by one cycle of
 right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986), matrix-free, preconditioned by max(g) (L_row + L_col)^2 + lambda I.
-That preconditioner is diagonal in the eigenbases of the row and column
-zero-slope Laplacians D0 (_d0_eigh, by scipy.linalg.eigh_tridiagonal); it
-is applied by dense matrix products with those two bases, not by a fast
-transform.
+1986), matrix-free, preconditioned by max(g) (L_row + L_col)^2 + lambda I
+(_lagged_2d).  That preconditioner is diagonal in the eigenbases of the row
+and column zero-slope Laplacians D0 (_d0_eigh, by
+scipy.linalg.eigh_tridiagonal); it is applied by dense matrix products with
+those two bases, not by a fast transform.
 
 The lagged fixed point converges only linearly, so in 1D at p = 0.5 each
 correction first tries the Newton step: g = F'(w) = epsilon (w^2 +
@@ -38,11 +38,10 @@ otherwise: inexact Newton globalized by a fallback, in the sense of Dembo,
 Eisenstat & Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 19
 (1982).  An accepted trial's flux serves the next check, so every solve
 costs one flux evaluation.  fig2 takes 9-10 outer steps and fig3 6-9
-(seeds 11 and 42) instead of 11-12 and 29-39.  At p = 0.5 F' > 0, so the
-equation is monotone; for p > 0.5 F' < 0 wherever w^2 > epsilon/(2p - 1),
-and the rule failed to converge on some inputs or reached other states,
-so there, at lambda = 0 (where A is singular) and in 2D every step is the
-lagged one.
+(seeds 11 and 42).  At p = 0.5 F' > 0, so the equation is monotone; for
+p > 0.5 F' < 0 wherever w^2 > epsilon/(2p - 1), and the rule failed to
+converge on some inputs or reached other states, so there, at lambda = 0
+(where A is singular) and in 2D every step is the lagged one.
 
 When the noise norm delta is known, lambda is chosen by Morozov's
 discrepancy principle (Soviet Math. Dokl. 7, 1966), so that
@@ -51,7 +50,7 @@ equilibrium identity (adaptive_lambda), and the stop rule certifies the
 stationary equation at that estimate, which forces ||u - u0|| = delta.  The
 correction steps take their lambda from a safeguarded secant on log lambda
 (_step_lambda) instead of the estimate itself, which would converge only
-linearly: fig5 at n=64 takes about 10 outer steps instead of about 76.
+linearly; fig5 at n=64 takes about 10 outer steps.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
-                   require_finite, require_same_grid)
+from .core import (_INNER_RTOL, Field2D, RunTrace, Signal1D, _iterate,
+                   require_count, require_finite, require_same_grid)
 from .grid_ops import (
     Stencil2DKind,
     apply_banded,
@@ -78,8 +77,7 @@ from .grid_ops import (
 _LAMBDA_INIT = 1.0  # first-step fidelity weight before the adaptive estimate kicks in
 _SAFETY = 0.9
 _DELTA_FLOOR = 1e-30
-_GMRES_RTOL = 1e-2  # inner solve: relative residual of one GMRES cycle
-_GMRES_VECTORS = 50  # inner solve: Krylov vectors of that cycle
+_GMRES_VECTORS = 50  # 2D inner solve: Krylov vectors of its one GMRES cycle
 _SECANT_CAP = 10.0  # longest secant step on log lam, in fixed-point steps
 
 
@@ -240,16 +238,30 @@ def denoise_2d(u0: Field2D, params: FilterParams,
 
 def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
             params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """From u to the equilibrium of the data u0v, in either dimension.
+    """From u to the equilibrium of the data u0v, in either dimension: the
+    one place that chooses the correction step.
 
-    dt unset with lam > 0 or target_delta set takes lagged diffusivity;
-    everything else takes explicit Euler steps.  At lam = 0 the frozen
-    matrix is singular (L_N annihilates constants), so a fixed lam = 0 has
-    no lagged step.
+    dt unset with lam > 0 or target_delta set takes the lagged step, with
+    the Newton step tried first in 1D at p = 0.5 (see the module
+    docstring); everything else takes explicit Euler steps.  At lam = 0 the
+    frozen matrix is singular (L_N annihilates constants), so a fixed
+    lam = 0 has no lagged step.  solve(g, lam, r), from _lagged_1d or
+    _lagged_2d, returns (an approximation of) A^-1 r for the frozen matrix
+    A = outer diag(g) inner + lam I: the lagged step takes
+    g = (w^2 + epsilon)^-p, so that F(w) = g w, and the Newton step
+    g = F'(w), so that A is minus the Jacobian of r.
     """
-    lagged = params.dt is None and (params.target_delta is not None or params.lam > 0)
-    path = _lagged_filter if lagged else _explicit
-    return path(u0v, u, h, params)
+    if params.dt is not None or (params.target_delta is None and params.lam == 0):
+        return _explicit(u0v, u, h, params)
+    eps, p = params.epsilon, params.p
+    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h)
+    newton = None
+    if u.ndim == 1 and p == 0.5:
+        def newton(w, lam, r):
+            return solve(eps * (w * w + eps) ** -1.5, lam, r)
+    return _iterate_filter(u0v, u, h, params,
+                           lambda w, lam, r: solve((w * w + eps) ** -p, lam, r),
+                           newton)
 
 
 def _step_lambda(lam_est: float, state) -> tuple[float, tuple | None]:
@@ -276,7 +288,8 @@ def _step_lambda(lam_est: float, state) -> tuple[float, tuple | None]:
 
 
 def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
-                    params: FilterParams, step) -> tuple[np.ndarray, RunTrace]:
+                    params: FilterParams, step,
+                    newton=None) -> tuple[np.ndarray, RunTrace]:
     """core._iterate from u to the equilibrium of the data u0v, on the
     filter's stationary residual r = -outer(F(w)) - lam (u - u0), w = inner(u).
 
@@ -289,24 +302,29 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
     secant, where taking lam_step = lam_est (the fixed point) would converge
     only linearly; it solves with the residual formed at lam_step,
     r + (lam_est - lam_step)(u - u0).  At a fixed lam the correction solves
-    with r itself.  step(u, w, lam, r) returns the correction delta and
-    either None or the (w, diffusion) it has already formed at u + delta,
-    which the next check then reuses: core._iterate forms that iterate as
-    u + delta too, so the check stays bit for bit rhs_1d's.
+    with r itself.
+
+    step(w, lam, r) and newton(w, lam, r) return a correction delta.  When
+    newton is given and lam > 0 (at lam = 0 the Jacobian is singular), its
+    delta is a trial, kept when the residual at u + delta, formed by the same
+    evaluate as every checked residual, is at most half of r; otherwise step
+    corrects.  A kept trial's (w, diffusion) serves the next check:
+    core._iterate forms that iterate as u + delta too, so the check stays
+    bit for bit rhs_1d's.
     """
     inner, outer = _laplacians(u.shape, h)
     adaptive = params.target_delta is not None
     lam0 = _LAMBDA_INIT if adaptive else params.lam
     state = None  # what _step_lambda carries from one correction to the next
-    reuse = None  # an accepted trial's (w, diffusion), for the check at u + delta
+    kept = None  # a kept trial's (w, diffusion), for the check at u + delta
+
+    def evaluate(u):
+        w = inner(u)
+        return w, outer(flux(w, params.epsilon, params.p))
 
     def residual(u, it):
-        nonlocal reuse
-        if reuse is None:
-            w = inner(u)
-            diffusion = outer(flux(w, params.epsilon, params.p))
-        else:
-            (w, diffusion), reuse = reuse, None
+        nonlocal kept
+        (w, diffusion), kept = kept or evaluate(u), None
         lam = lam0
         du = u - u0v
         if adaptive and it > 1:
@@ -314,13 +332,20 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
         return -diffusion - lam * du, lam, (u, w, du)
 
     def correction(frozen, lam, r):
-        nonlocal state, reuse
+        nonlocal state, kept
         u, w, du = frozen
         if adaptive:
             lam_step, state = _step_lambda(lam, state)
             lam, r = lam_step, r + (lam - lam_step) * du
-        delta, reuse = step(u, w, lam, r)
-        return delta
+        if newton is not None and lam > 0:
+            delta = newton(w, lam, r)
+            trial = u + delta
+            w_t, diffusion = evaluate(trial)
+            if np.linalg.norm(-diffusion - lam * (trial - u0v)) \
+                    <= 0.5 * np.linalg.norm(r):
+                kept = w_t, diffusion
+                return delta
+        return step(w, lam, r)
 
     return _iterate(u0v, u, params.tol, params.max_iters, residual, correction)
 
@@ -340,8 +365,7 @@ def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
     def dt(lam):
         return params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
 
-    u, trace = _iterate_filter(u0v, u, h, params,
-                               lambda u, w, lam, r: (dt(lam) * r, None))
+    u, trace = _iterate_filter(u0v, u, h, params, lambda w, lam, r: dt(lam) * r)
     return u, replace(trace, dt_used=float(dt(trace.lambda_history[-1])))
 
 
@@ -357,7 +381,7 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
 
     Builds an orthonormal Krylov basis of A P^-1 (classical Gram-Schmidt,
     applied twice) and stops once the least-squares residual is at most
-    _GMRES_RTOL ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.
+    _INNER_RTOL ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.
     """
     beta = float(np.linalg.norm(b))
     m = _GMRES_VECTORS
@@ -388,49 +412,12 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
         rhs[j + 1] = -s * rhs[j]
         rhs[j] *= c
         size = j + 1
-        if abs(rhs[j + 1]) <= _GMRES_RTOL * beta or h_next == 0.0:
+        if abs(rhs[j + 1]) <= _INNER_RTOL * beta or h_next == 0.0:
             break
         basis[j + 1] = w / h_next
     y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
                                       check_finite=False)
     return precond(y @ basis[:size])
-
-
-def _lagged_filter(u0v: np.ndarray, u: np.ndarray, h: float,
-                   params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Lagged diffusivity from u to the equilibrium of the data u0v, with
-    Newton steps in 1D at p = 0.5.
-
-    solve(g, lam, r), from _lagged_1d or _lagged_2d, returns (an
-    approximation of) A^-1 r for the frozen matrix
-    A = outer diag(g) inner + lam I.  The lagged step takes
-    g = (w^2 + epsilon)^-p, so that F(w) = g w; the Newton step takes
-    g = F'(w), so that A is minus the Jacobian of r, and falls back on the
-    lagged step by the rule of the module docstring.
-    """
-    eps, p = params.epsilon, params.p
-    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h)
-
-    def lagged(u, w, lam, r):
-        return solve((w * w + eps) ** -p, lam, r), None
-
-    if u.ndim == 2 or p != 0.5:
-        return _iterate_filter(u0v, u, h, params, lagged)
-    inner, outer = _laplacians(u.shape, h)
-
-    def newton(u, w, lam, r):
-        if lam == 0.0:  # the Jacobian is singular; the lagged solve stands in
-            return lagged(u, w, lam, r)  # _LAMBDA_INIT for lam
-        delta = solve(eps * (w * w + eps) ** -1.5, lam, r)
-        trial = u + delta
-        w_t = inner(trial)
-        diffusion = outer(flux(w_t, eps, p))
-        r_trial = -diffusion - lam * (trial - u0v)
-        if np.linalg.norm(r_trial) <= 0.5 * np.linalg.norm(r):
-            return delta, (w_t, diffusion)
-        return lagged(u, w, lam, r)
-
-    return _iterate_filter(u0v, u, h, params, newton)
 
 
 def _lagged_1d(h: float):

@@ -19,10 +19,9 @@ difference over h, scaled by min(1, 0.9 s_max) for the longest step s_max
 that keeps |w| <= 1 on every face (_dual_update).
 
 From w = 0 the first step is the lagged-diffusivity step of Vogel & Oman
-(SIAM J. Sci. Comput. 17, 1996), which this module took at every step
-before; the later steps converge much faster than its linear rate.  fig2 and
-fig3 at n=100 take 9-10 steps instead of 177-368, and fig5 at n=64 takes
-19-20 instead of 100-107.  Chan & Mulet (SIAM J. Numer. Anal. 36, 1999)
+(SIAM J. Sci. Comput. 17, 1996); the later steps converge much faster than
+its linear rate.  fig2 and fig3 at n=100 take 9-10 steps, and fig5 at n=64
+takes 19-20.  Chan & Mulet (SIAM J. Numer. Anal. 36, 1999)
 prove that the exact 1D lagged step lowers the regularized ROF energy at
 every step.  No theorem says so for the primal-dual step; the energy is
 observed to fall at every step of the fig2/fig3 runs at seeds 0-9.
@@ -31,9 +30,9 @@ In 1D A is tridiagonal and the step is exact (a banded Cholesky solve).  In
 2D each face's linearized magnitude keeps only the normal derivative, which
 keeps A SPD, and the step is inexact: conjugate gradients (Hestenes &
 Stiefel 1952) from zero, preconditioned by diag(A), to a relative residual
-of 1e-2, with A applied face by face and never stored.  Neither changes the
-equilibrium: a solve converges once ||r|| <= 10 tol lam ||u - u0||, whatever
-the steps did.
+of 1e-2 (core._INNER_RTOL), with A applied face by face and never stored.
+Neither changes the equilibrium: a solve converges once
+||r|| <= 10 tol lam ||u - u0||, whatever the steps did.
 
 The iteration is core._iterate, the loop every solver in lapden runs; this
 module supplies the face residual and the primal-dual step.
@@ -46,10 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
-                   require_finite, require_same_grid)
-
-_CG_RTOL = 1e-2  # 2D inner solve: relative residual of Jacobi-preconditioned CG
+from .core import (_INNER_RTOL, Field2D, RunTrace, Signal1D, _iterate,
+                   require_count, require_finite, require_same_grid)
 
 
 @dataclass(frozen=True)
@@ -178,14 +175,15 @@ def _tridiagonal(weights, diag: np.ndarray) -> np.ndarray:
 
 def _pcg(matvec, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952)
-    for the SPD system A x = b from x = 0, until ||b - A x|| <= _CG_RTOL ||b||
-    (or after b.size steps, where exact arithmetic would have solved it)."""
+    for the SPD system A x = b from x = 0, until
+    ||b - A x|| <= _INNER_RTOL ||b|| (or after b.size steps, where exact
+    arithmetic would have solved it)."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / diag
     p = z
     rz = float(np.vdot(r, z))
-    stop = _CG_RTOL * float(np.linalg.norm(b))
+    stop = _INNER_RTOL * float(np.linalg.norm(b))
     for _ in range(b.size):
         if float(np.linalg.norm(r)) <= stop:
             break

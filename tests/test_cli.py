@@ -99,21 +99,26 @@ class TestDenoise1D:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["denoise1d", "tv1d"])
-    @pytest.mark.parametrize("clean", ["missing", "short"])
+    @pytest.mark.parametrize("clean", ["missing", "short", "report-dir"])
     def test_rejected_clean_file_leaves_no_output(self, sine_files, tmp_path,
-                                                  command, clean):
+                                                  command, clean, capsys):
+        # report-dir: a good clean file, but a --report in a missing directory
         clean_path, noisy_path = sine_files
+        out, plot, report = (tmp_path / name for name in ("o.csv", "o.svg", "o.jsonl"))
         if clean == "short":
             clean_path = tmp_path / "short.csv"
             write_csv_1d(clean_path, sample_f_sine(50))
-        else:
+        elif clean == "missing":
             clean_path = tmp_path / "nope.csv"
-        out, plot, report = (tmp_path / name for name in ("o.csv", "o.svg", "o.jsonl"))
+        else:
+            report = tmp_path / "missing" / "r.jsonl"
         code = main([command, "--input", str(noisy_path), "--output", str(out),
                      "--plot", str(plot), "--report", str(report),
                      "--clean", str(clean_path)])
         assert code == 2
         assert not out.exists() and not plot.exists() and not report.exists()
+        if clean == "report-dir":
+            assert "no such directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--lambda", "nan"],
                                        ["--delta", "inf"], ["--tol", "nan"],

@@ -295,20 +295,25 @@ class TestDenoise1D:
         assert trace.iters_run == len(trace.residual_history) \
             == len(trace.fidelity_history) == len(trace.lambda_history)
 
-    @pytest.mark.parametrize("path", ["explicit", "lagged"])
+    @pytest.mark.parametrize("path", ["explicit", "lagged", "lagged-2d"])
     def test_one_flux_evaluation_per_step(self, monkeypatch, path):
         # explicit Euler evaluates the flux once per checked iterate: the
         # residual there serves the stationarity check and the next
         # correction.  The Newton path evaluates it once per solve, at the
         # trial point, and the check at an accepted trial reuses it; so
-        # flux calls = solves + 1 (the data), a rejected trial included
+        # flux calls = solves + 1 (the data), a rejected trial included.
+        # 2D tries no Newton step, so it evaluates once per checked iterate
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
         delta = float(np.linalg.norm(noisy.values - clean.values))
         calls = count_calls(monkeypatch, "flux")
         solves = count_calls(monkeypatch, "solve_banded")
         params = replace(NLAP_1D, target_delta=delta)
-        if path == "explicit":
+        if path == "lagged-2d":
+            _, noisy, delta = noisy_f2d(16, seed=42)
+            _, trace = denoise_2d(noisy, replace(NLAP_2D, target_delta=delta))
+            assert len(calls) == trace.iters_run > 2
+        elif path == "explicit":
             _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
                                            noisy.h, params)
             assert len(calls) == trace.iters_run
@@ -363,6 +368,21 @@ def noisy_f2d(n: int, seed: int) -> tuple[Field2D, Field2D, float]:
 
 
 class TestLagged2D:
+    def test_inner_solve_reaches_its_tolerance(self):
+        # one GMRES cycle takes ||A x - r|| to 1e-2 ||r|| on a non-square
+        # grid, A = L_D diag(g) L_N + lam I built from the dense oracles
+        rng = np.random.default_rng(21)
+        shape, h, lam = (6, 5), 0.5, 0.3
+        g = rng.uniform(0.05, 3.0, size=shape)
+        r = rng.normal(size=shape)
+        units = np.eye(g.size).reshape(g.size, *shape)
+        lap_n, lap_d = (np.array([dense_lap2d(e, h, kind).ravel() for e in units]).T
+                        for kind in ("neumann", "dirichlet"))
+        a = lap_d @ np.diag(g.ravel()) @ lap_n + lam * np.eye(g.size)
+        x = nl_filter._lagged_2d(shape, h)(g, lam, r)
+        assert x.shape == shape
+        assert np.linalg.norm(a @ x.ravel() - r.ravel()) <= 1e-2 * np.linalg.norm(r)
+
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_agrees_with_explicit_equilibrium(self, lam):
         _, noisy, _ = noisy_f2d(32, seed=3)
