@@ -172,10 +172,42 @@ def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
     return stat_norm <= tol * max(norm_u0, 1.0)
 
 
-# the relative residual ||b - A x|| <= _INNER_RTOL ||b|| to which a step's
-# inexact inner solve takes A^-1 b (nonlinear filter: GMRES, TV: CG, both in
-# 2D); the loop certifies the equilibrium whatever the steps did
-_INNER_RTOL = 1e-2
+# the forcing terms eta of the 2D inner solves (nonlinear filter: GMRES, TV:
+# CG), which stop at ||b - A x|| <= eta ||b||: Eisenstat & Walker's choice 2,
+# "Choosing the forcing terms in an inexact Newton method", SIAM J. Sci.
+# Comput. 17 (1996), for the inexact Newton steps of Dembo, Eisenstat &
+# Steihaug, SIAM J. Numer. Anal. 19 (1982); see _forcing_term
+_ETA_FIRST = 1e-2  # the first correction's eta, before any ratio exists
+_ETA_GAMMA = 0.9
+_ETA_ALPHA = 2.0
+_ETA_MAX = 0.3
+
+
+def _forcing_term(stat: float, prev: tuple[float, float] | None,
+                  slack: float) -> float:
+    """The relative tolerance eta of the inner solve of one correction.
+
+    stat is ||r_k|| of the iterate the correction starts from, prev the
+    (||r_{k-1}||, eta_{k-1}) of the correction before it (None for the
+    first, which takes _ETA_FIRST) and slack = 5 tol lam ||u - u0||, half
+    the stop rule's bound.  Eisenstat & Walker's choice 2 takes
+    eta = gamma (||r_k|| / ||r_{k-1}||)^alpha, at least gamma eta_{k-1}^alpha
+    when that exceeds 0.1, and at most _ETA_MAX: the inner solve is loose
+    while ||r|| falls slowly and tightens as the outer iteration speeds up.
+    The floor slack / ||r_k|| comes last, so that the last solve does not
+    solve past the stop rule; it stays below 1/2, since a correction is
+    taken only while ||r_k|| exceeds twice the slack.
+    """
+    if prev is None:
+        eta = _ETA_FIRST
+    else:
+        stat_prev, eta_prev = prev
+        eta = _ETA_GAMMA * (stat / stat_prev) ** _ETA_ALPHA
+        safeguard = _ETA_GAMMA * eta_prev ** _ETA_ALPHA
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+        eta = min(eta, _ETA_MAX)
+    return max(eta, slack / stat)
 
 
 def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
@@ -185,16 +217,19 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     residual(u, it) returns (r, lam, frozen): the stationary residual r at
     u, the fidelity weight it was formed with, and the frozen state that
     step needs.
-    step(frozen, lam, r) returns the correction: A^-1 r for the operator A
-    formed at u (lagged diffusivity, primal-dual Newton) or dt r (explicit
-    Euler).  The run
-    converges once ||r|| <= 10 tol lam ||u - u0||, and stops unconverged
-    after max_iters corrections (see RunTrace for what is recorded).
+    step(frozen, lam, r, eta) returns the correction: A^-1 r for the
+    operator A formed at u (lagged diffusivity, primal-dual Newton) or dt r
+    (explicit Euler).  An inexact inner solve of A^-1 r stops at the
+    relative residual eta, the forcing term of _forcing_term; exact solves
+    and explicit steps ignore it.  The run converges once
+    ||r|| <= 10 tol lam ||u - u0||, and stops unconverged after max_iters
+    corrections (see RunTrace for what is recorded).
     """
     norm_u0 = float(np.linalg.norm(u0v))
     rows = []
     t0 = time.perf_counter()
     converged = False
+    prev = None  # (||r||, eta) of the last correction
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 2):
@@ -207,7 +242,9 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
             converged = _stationary_ok(stat, lam, fid, tol, norm_u0)
             if converged or it > max_iters:
                 break
-            u = u + step(frozen, lam, r)
+            eta = _forcing_term(stat, prev, 5.0 * tol * lam * fid)
+            prev = stat, eta
+            u = u + step(frozen, lam, r, eta)
 
     return u, RunTrace(len(rows), *np.array(rows).T, dt_used=None,
                        converged=converged,

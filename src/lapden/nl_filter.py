@@ -27,7 +27,10 @@ right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
 (_lagged_2d).  That preconditioner is diagonal in the eigenbases of the row
 and column zero-slope Laplacians D0 (_d0_eigh, by
 scipy.linalg.eigh_tridiagonal); it is applied by dense matrix products with
-those two bases, not by a fast transform.
+those two bases, not by a fast transform.  GMRES stops at the relative
+residual eta that core._iterate chooses for each correction by Eisenstat &
+Walker's choice 2 ("Choosing the forcing terms in an inexact Newton
+method", SIAM J. Sci. Comput. 17, 1996; core._forcing_term).
 
 The lagged fixed point converges only linearly, so in 1D at p = 0.5 each
 correction first tries the Newton step: g = F'(w) = epsilon (w^2 +
@@ -50,7 +53,7 @@ equilibrium identity (adaptive_lambda), and the stop rule certifies the
 stationary equation at that estimate, which forces ||u - u0|| = delta.  The
 correction steps take their lambda from a safeguarded secant on log lambda
 (_step_lambda) instead of the estimate itself, which would converge only
-linearly; fig5 at n=64 takes about 10 outer steps.
+linearly; fig5 at n=64 takes about 14 outer steps.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .core import (_INNER_RTOL, Field2D, RunTrace, Signal1D, _iterate,
-                   require_count, require_finite, require_same_grid)
+from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
+                   require_finite, require_same_grid)
 from .grid_ops import (
     Stencil2DKind,
     apply_banded,
@@ -245,9 +248,11 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     the Newton step tried first in 1D at p = 0.5 (see the module
     docstring); everything else takes explicit Euler steps.  At lam = 0 the
     frozen matrix is singular (L_N annihilates constants), so a fixed
-    lam = 0 has no lagged step.  solve(g, lam, r), from _lagged_1d or
-    _lagged_2d, returns (an approximation of) A^-1 r for the frozen matrix
-    A = outer diag(g) inner + lam I: the lagged step takes
+    lam = 0 has no lagged step, and a lam estimate of 0 solves with
+    _LAMBDA_INIT in its place, in both dimensions.  solve(g, lam, r, eta),
+    from _lagged_1d or _lagged_2d, returns (an approximation of) A^-1 r for
+    the frozen matrix A = outer diag(g) inner + lam I, exact in 1D and to
+    the relative residual eta in 2D: the lagged step takes
     g = (w^2 + epsilon)^-p, so that F(w) = g w, and the Newton step
     g = F'(w), so that A is minus the Jacobian of r.
     """
@@ -257,11 +262,16 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h)
     newton = None
     if u.ndim == 1 and p == 0.5:
-        def newton(w, lam, r):
-            return solve(eps * (w * w + eps) ** -1.5, lam, r)
-    return _iterate_filter(u0v, u, h, params,
-                           lambda w, lam, r: solve((w * w + eps) ** -p, lam, r),
-                           newton)
+        def newton(w, lam, r, eta):
+            return solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
+
+    def lagged(w, lam, r, eta):
+        # a zero lam estimate would leave the constant mode without a pivot;
+        # the initial weight then stands in
+        return solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
+                     r, eta)
+
+    return _iterate_filter(u0v, u, h, params, lagged, newton)
 
 
 def _step_lambda(lam_est: float, state) -> tuple[float, tuple | None]:
@@ -304,7 +314,8 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
     r + (lam_est - lam_step)(u - u0).  At a fixed lam the correction solves
     with r itself.
 
-    step(w, lam, r) and newton(w, lam, r) return a correction delta.  When
+    step(w, lam, r, eta) and newton(w, lam, r, eta) return a correction
+    delta, eta being core._iterate's forcing term.  When
     newton is given and lam > 0 (at lam = 0 the Jacobian is singular), its
     delta is a trial, kept when the residual at u + delta, formed by the same
     evaluate as every checked residual, is at most half of r; otherwise step
@@ -331,21 +342,21 @@ def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
             lam = _lambda_estimate(du, diffusion, params.target_delta)
         return -diffusion - lam * du, lam, (u, w, du)
 
-    def correction(frozen, lam, r):
+    def correction(frozen, lam, r, eta):
         nonlocal state, kept
         u, w, du = frozen
         if adaptive:
             lam_step, state = _step_lambda(lam, state)
             lam, r = lam_step, r + (lam - lam_step) * du
         if newton is not None and lam > 0:
-            delta = newton(w, lam, r)
+            delta = newton(w, lam, r, eta)
             trial = u + delta
             w_t, diffusion = evaluate(trial)
             if np.linalg.norm(-diffusion - lam * (trial - u0v)) \
                     <= 0.5 * np.linalg.norm(r):
                 kept = w_t, diffusion
                 return delta
-        return step(w, lam, r)
+        return step(w, lam, r, eta)
 
     return _iterate(u0v, u, params.tol, params.max_iters, residual, correction)
 
@@ -365,7 +376,8 @@ def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
     def dt(lam):
         return params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
 
-    u, trace = _iterate_filter(u0v, u, h, params, lambda w, lam, r: dt(lam) * r)
+    u, trace = _iterate_filter(u0v, u, h, params,
+                               lambda w, lam, r, eta: dt(lam) * r)
     return u, replace(trace, dt_used=float(dt(trace.lambda_history[-1])))
 
 
@@ -376,12 +388,13 @@ def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh_tridiagonal(ab[1], ab[0, 1:])
 
 
-def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
+def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
     """One cycle of right-preconditioned GMRES for A x = b from x = 0.
 
     Builds an orthonormal Krylov basis of A P^-1 (classical Gram-Schmidt,
     applied twice) and stops once the least-squares residual is at most
-    _INNER_RTOL ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.
+    eta ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.  eta is
+    the forcing term of core._forcing_term (Eisenstat & Walker's choice 2).
     """
     beta = float(np.linalg.norm(b))
     m = _GMRES_VECTORS
@@ -412,7 +425,7 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
         rhs[j + 1] = -s * rhs[j]
         rhs[j] *= c
         size = j + 1
-        if abs(rhs[j + 1]) <= _INNER_RTOL * beta or h_next == 0.0:
+        if abs(rhs[j + 1]) <= eta * beta or h_next == 0.0:
             break
         basis[j + 1] = w / h_next
     y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
@@ -422,23 +435,19 @@ def _gmres(matvec, precond, b: np.ndarray) -> np.ndarray:
 
 def _lagged_1d(h: float):
     """The 1D inner solve: A = D1 diag(g) D0 + lam I is pentadiagonal and is
-    solved exactly."""
-    # a zero lam estimate would leave the constant mode without a pivot; the
-    # initial weight then stands in
-    return lambda g, lam, r: solve_banded(
-        build_lagged_1d(g, h, lam if lam > 0 else _LAMBDA_INIT), r)
+    solved exactly, whatever eta asks."""
+    return lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r)
 
 
 def _lagged_2d(shape: tuple[int, int], h: float):
-    """The 2D inner solve: one cycle of preconditioned GMRES."""
+    """The 2D inner solve: one cycle of preconditioned GMRES, to the relative
+    residual eta."""
     inner, outer = _laplacians(shape, h)
     (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
 
-    def solve(g, lam, r):
-        # a zero lam estimate would leave the constant mode without a
-        # pivot; the preconditioner then stands in the initial weight
-        pivots = float(g.max()) * squared + (lam if lam > 0 else _LAMBDA_INIT)
+    def solve(g, lam, r, eta):
+        pivots = float(g.max()) * squared + lam
 
         def precond(x):
             x = q_r.T @ x.reshape(shape) @ q_c
@@ -448,6 +457,6 @@ def _lagged_2d(shape: tuple[int, int], h: float):
             x = x.reshape(shape)
             return (outer(g * inner(x)) + lam * x).ravel()
 
-        return _gmres(matvec, precond, r.ravel()).reshape(shape)
+        return _gmres(matvec, precond, r.ravel(), eta).reshape(shape)
 
     return solve

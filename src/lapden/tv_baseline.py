@@ -29,10 +29,13 @@ observed to fall at every step of the fig2/fig3 runs at seeds 0-9.
 In 1D A is tridiagonal and the step is exact (a banded Cholesky solve).  In
 2D each face's linearized magnitude keeps only the normal derivative, which
 keeps A SPD, and the step is inexact: conjugate gradients (Hestenes &
-Stiefel 1952) from zero, preconditioned by diag(A), to a relative residual
-of 1e-2 (core._INNER_RTOL), with A applied face by face and never stored.
-Neither changes the equilibrium: a solve converges once
-||r|| <= 10 tol lam ||u - u0||, whatever the steps did.
+Stiefel 1952) from zero, preconditioned by diag(A), with A applied face by
+face and never stored.  CG stops at the relative residual eta that
+core._iterate chooses for each step by Eisenstat & Walker's choice 2
+("Choosing the forcing terms in an inexact Newton method", SIAM J. Sci.
+Comput. 17, 1996; core._forcing_term).  Neither changes the equilibrium: a
+solve converges once ||r|| <= 10 tol lam ||u - u0||, whatever the steps
+did.
 
 The iteration is core._iterate, the loop every solver in lapden runs; this
 module supplies the face residual and the primal-dual step.
@@ -45,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import (_INNER_RTOL, Field2D, RunTrace, Signal1D, _iterate,
-                   require_count, require_finite, require_same_grid)
+from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
+                   require_finite, require_same_grid)
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def _tv_operator(faces, duals, shape: tuple, h: float, lam: float) -> tuple:
     magnitude m of each face, and the diagonal of A, lam plus the weights of
     the adjacent faces."""
     weights = []
-    diag = np.full(shape, lam)
+    diag = np.full(shape, lam, dtype=float)
     for (axis, diff, mag), w in zip(faces, duals):
         weight = (1.0 - w * (diff / mag)) / (h * h * mag)
         lo, hi = _sides(len(shape), axis)
@@ -173,17 +176,18 @@ def _tridiagonal(weights, diag: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _pcg(matvec, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pcg(matvec, diag: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952)
-    for the SPD system A x = b from x = 0, until
-    ||b - A x|| <= _INNER_RTOL ||b|| (or after b.size steps, where exact
-    arithmetic would have solved it)."""
+    for the SPD system A x = b from x = 0, until ||b - A x|| <= eta ||b||
+    (or after b.size steps, where exact arithmetic would have solved it);
+    eta is the forcing term of core._forcing_term (Eisenstat & Walker's
+    choice 2)."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / diag
     p = z
     rz = float(np.vdot(r, z))
-    stop = _INNER_RTOL * float(np.linalg.norm(b))
+    stop = eta * float(np.linalg.norm(b))
     for _ in range(b.size):
         if float(np.linalg.norm(r)) <= stop:
             break
@@ -224,7 +228,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
         r = _tv_divergence(u, h, faces) - lam * (u - values0)
         return r, lam, faces
 
-    def solve(faces, lam, r):
+    def solve(faces, lam, r, eta):
         nonlocal duals
         if duals is None:
             duals = [np.zeros_like(diff) for _, diff, _ in faces]
@@ -234,7 +238,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
                 _tridiagonal(weights, diag), r, overwrite_ab=True,
                 check_finite=False)
         else:
-            du = _pcg(lambda x: _tv_apply(weights, lam, x), diag, r)
+            du = _pcg(lambda x: _tv_apply(weights, lam, x), diag, r, eta)
         # dw = (1 - w d/m)/m G du - w + d/m, where (1 - w d/m)/m = h^2 g
         duals = _dual_update(duals, [
             h * weight * (du[hi] - du[lo]) - w + diff / mag

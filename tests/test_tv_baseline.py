@@ -120,17 +120,25 @@ class TestTvOperator:
                            rtol=1e-13, atol=1e-12)
         assert np.allclose(diag.ravel(), np.diag(a), rtol=1e-14, atol=0)
 
-    def test_2d_cg_meets_its_tolerance(self):
+    @staticmethod
+    def cg_relative_residual(eta):
+        # ||b - A x|| / ||b|| after CG to eta, against the dense A
         rng = np.random.default_rng(30)
         u = rng.normal(size=(5, 7))
         faces = _tv_faces(u, 1.0, 1e-3)
         duals = random_duals(rng, faces)
         weights, diag = _tv_operator(faces, duals, u.shape, 1.0, 0.3)
         b = rng.normal(size=u.shape)
-        x = _pcg(lambda v: _tv_apply(weights, 0.3, v), diag, b)
+        x = _pcg(lambda v: _tv_apply(weights, 0.3, v), diag, b, eta)
         a = dense_tv_operator(faces, duals, u.shape, 1.0, 0.3)
-        assert np.linalg.norm(b.ravel() - a @ x.ravel()) \
-            <= 1e-2 * np.linalg.norm(b)
+        return np.linalg.norm(b.ravel() - a @ x.ravel()) / np.linalg.norm(b)
+
+    def test_2d_cg_meets_its_tolerance(self):
+        assert self.cg_relative_residual(1e-2) <= 1e-2
+
+    def test_2d_cg_meets_a_loose_tolerance(self):
+        # core._ETA_MAX, the cap of the forcing rule
+        assert self.cg_relative_residual(0.3) <= 0.3
 
     def test_1d_band(self):
         rng = np.random.default_rng(31)
@@ -299,6 +307,12 @@ class TestTvDenoise1D:
         anchor = params.lam * np.linalg.norm(restored.values - noisy.values)
         assert stat <= 10.0 * params.tol * anchor
 
+    def test_integer_lambda_matches_float(self):
+        noisy = fig_input_1d(sample_f_sine, 42)
+        as_int, _ = tv_denoise_1d(noisy, TvParams(lam=3))
+        as_float, _ = tv_denoise_1d(noisy, TvParams(lam=3.0))
+        assert np.array_equal(as_int.values, as_float.values)
+
 
 class TestTvDenoise2D:
     def test_constant_fixed_point(self):
@@ -331,6 +345,12 @@ class TestTvDenoise2D:
     def test_small_field_rejected(self):
         with pytest.raises(ValueError):
             tv_denoise_2d(Field2D(np.ones((2, 3))), TvParams())
+
+    def test_integer_lambda_matches_float(self):
+        noisy = add_noise(sample_f2d(16), NoiseSpec(seed=42, delta_rel=DELTA_REL_2D))
+        as_int, _ = tv_denoise_2d(noisy, TvParams(lam=10))
+        as_float, _ = tv_denoise_2d(noisy, TvParams(lam=10.0))
+        assert np.array_equal(as_int.values, as_float.values)
 
 
 class TestTvParamsValidation:
