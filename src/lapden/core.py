@@ -1,7 +1,14 @@
 """Shared value types (sampled signals, sampled fields, run diagnostics) and
 the one iteration loop that every solver runs: the nonlinear filter, in 1D
 and 2D, by lagged diffusivity or by explicit Euler steps, and the TV
-baseline, by primal-dual Newton steps."""
+baseline, by primal-dual Newton steps.
+
+Each method is the equilibrium of an evolution equation
+du/dt = -D(u) - lam (u - u0), and supplies only its diffusion term D(u)
+(nonlinear filter: L_D F(L_N u); TV: -div(grad u / |grad u|_beta)) and its
+correction step.  The loop forms the stationary residual
+r = -D(u) - lam (u - u0), runs the stop rule and, when the noise norm delta
+is known, chooses lam by the discrepancy principle (_iterate)."""
 
 from __future__ import annotations
 
@@ -64,7 +71,8 @@ class Signal1D:
 
     The samples live at x = a + (i+1)*h for i = 0..len-1; the two nodes at the
     ends of ``domain`` are ghost positions slaved to the first/last sample by
-    the zero-slope boundary condition, so (b - a) == (len + 1) * h.
+    the zero-slope boundary condition, so (b - a) == (len + 1) * h, and both
+    must be finite.
 
     By default h = 1 (grid units) and the domain is (-1, len); pass a physical
     spacing and domain to work in physical units.
@@ -83,6 +91,8 @@ class Signal1D:
         if self.domain is None:
             object.__setattr__(self, "domain", (-self.h, self.values.size * self.h))
         a, b = self.domain
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"domain ends must be finite, got ({a}, {b})")
         expected = (self.values.size + 1) * self.h
         if abs((b - a) - expected) > 1e-9 * expected:
             raise ValueError(
@@ -132,14 +142,14 @@ class RunTrace:
     the starting state (the data, or the warm start) and the last entry is
     the returned iterate and the lam it was checked with, so iters_run is
     one more than the number of corrections taken.
-    residual_history[k] is the stationary residual ||r(u_k)|| (TV:
-    r = div(grad u / |grad u|_beta) - lam (u - u0); nonlinear filter:
-    r = -L_D F(L_N u) - lam (u - u0)), fidelity_history[k] is ||u_k - u0||
-    and lambda_history[k] the lam of that check (re-estimated from u_k in
-    adaptive mode; the nonlinear filter's correction steps take a lam of
-    their own, which is not recorded).  dt_used is the explicit Euler step
-    at the last lam, and None for the paths that take no time step (lagged
-    diffusivity, primal-dual Newton).
+    residual_history[k] is the stationary residual ||r(u_k)||, with
+    r = -D(u) - lam (u - u0) for the method's diffusion term D (see the
+    module docstring), fidelity_history[k] is ||u_k - u0|| and
+    lambda_history[k] the lam of that check: the fixed lam, or in adaptive
+    mode _LAMBDA_INIT at k = 0 and the estimate from u_k after that (the
+    correction steps then take a lam of their own, which is not recorded).
+    dt_used is the explicit Euler step at the last lam, and None for the
+    paths that take no time step (lagged diffusivity, primal-dual Newton).
     """
 
     iters_run: int
@@ -210,40 +220,102 @@ def _forcing_term(stat: float, prev: tuple[float, float] | None,
     return max(eta, slack / stat)
 
 
-def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
-             residual, step) -> tuple[np.ndarray, RunTrace]:
-    """The iteration from u to the equilibrium of the data u0v, for every path.
+# the adaptive lam of _iterate: Morozov's discrepancy principle (Soviet
+# Math. Dokl. 7, 1966), which chooses lam so that ||u - u0|| = delta
+_LAMBDA_INIT = 1.0  # the lam of the first check, before any estimate
+_DELTA_FLOOR = 1e-30
+_SECANT_CAP = 10.0  # longest secant step on log lam, in fixed-point steps
 
-    residual(u, it) returns (r, lam, frozen): the stationary residual r at
-    u, the fidelity weight it was formed with, and the frozen state that
-    step needs.
+
+def _lambda_estimate(du: np.ndarray, diffusion: np.ndarray,
+                     target_delta: float) -> float:
+    """-<u - u0, D(u)> / delta^2, clipped at zero: at an equilibrium
+    D(u) = -lam (u - u0) with ||u - u0|| = delta, this is lam."""
+    est = -float(np.sum(du * diffusion)) / max(target_delta**2, _DELTA_FLOOR)
+    return max(est, 0.0)
+
+
+def _step_lambda(lam_est: float, state) -> tuple[float, tuple | None]:
+    """The lam of the next correction, from the lam_est of the iterate it
+    corrects, and the state for the next call; state is None at the start.
+
+    state holds x = log lam of the last step and the (x, f) pair of the step
+    before it (None if there is none), with f = log lam_est - x.  The
+    fixed-point step x + f sets lam to lam_est; the first step, and a step at
+    lam_est = 0, which also starts the history over, take it.  The secant
+    through the last pair and (x, f) replaces it when it points the same way
+    as f, shortened to at most _SECANT_CAP |f|.
+    """
+    if state is None or lam_est == 0.0:
+        return lam_est, ((math.log(lam_est), None) if lam_est > 0 else None)
+    x, prev = state
+    f = math.log(lam_est) - x
+    if prev is not None and f != prev[1]:
+        move = -f * (x - prev[0]) / (f - prev[1])
+        if move * f > 0:
+            x_next = x + math.copysign(min(abs(move), _SECANT_CAP * abs(f)), f)
+            return math.exp(x_next), (x_next, (x, f))
+    return lam_est, (x + f, (x, f))
+
+
+def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
+             lam: float, target_delta: float | None, diffusion,
+             step) -> tuple[np.ndarray, RunTrace]:
+    """The iteration from u to the equilibrium D(u) = -lam (u - u0) of the
+    data u0v, for every path.
+
+    diffusion(u) returns (D, frozen): the method's diffusion term D(u) and
+    the state that step needs.  The loop forms the stationary residual
+    r = -D - lam (u - u0) and converges once ||r|| <= 10 tol lam ||u - u0||;
+    it stops unconverged after max_iters corrections (see RunTrace for what
+    is recorded).
+
+    With target_delta None lam is fixed.  Otherwise lam follows Morozov's
+    discrepancy principle, ||u - u0|| = delta: the first check takes
+    _LAMBDA_INIT and every later one the estimate of the iterate it checks
+    (_lambda_estimate, from the equilibrium identity).  The stop rule and
+    the trace see that estimate, and certifying the stationary equation at
+    it forces ||u - u0|| = delta.  A correction runs at its own lam from
+    _step_lambda, which drives f = log lam_est - log lam_step to zero by a
+    safeguarded secant, where taking lam_step = lam_est (the fixed point)
+    would converge only linearly, and solves with the residual formed at
+    that lam, r + (lam_est - lam_step)(u - u0).
+
     step(frozen, lam, r, eta) returns the correction: A^-1 r for the
     operator A formed at u (lagged diffusivity, primal-dual Newton) or dt r
     (explicit Euler).  An inexact inner solve of A^-1 r stops at the
     relative residual eta, the forcing term of _forcing_term; exact solves
-    and explicit steps ignore it.  The run converges once
-    ||r|| <= 10 tol lam ||u - u0||, and stops unconverged after max_iters
-    corrections (see RunTrace for what is recorded).
+    and explicit steps ignore it.
     """
+    adaptive = target_delta is not None
     norm_u0 = float(np.linalg.norm(u0v))
     rows = []
     t0 = time.perf_counter()
     converged = False
     prev = None  # (||r||, eta) of the last correction
+    state = None  # what _step_lambda carries from one correction to the next
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 2):
-            r, lam, frozen = residual(u, it)
+            d, frozen = diffusion(u)
+            du = u - u0v
+            if adaptive:
+                lam = (_lambda_estimate(du, d, target_delta) if it > 1
+                       else _LAMBDA_INIT)
+            r = -d - lam * du
             stat = float(np.linalg.norm(r))
             if not math.isfinite(stat):
                 raise DivergenceError(f"non-finite values at iteration {it}")
-            fid = float(np.linalg.norm(u - u0v))
+            fid = float(np.linalg.norm(du))
             rows.append((stat, fid, lam))
             converged = _stationary_ok(stat, lam, fid, tol, norm_u0)
             if converged or it > max_iters:
                 break
             eta = _forcing_term(stat, prev, 5.0 * tol * lam * fid)
             prev = stat, eta
+            if adaptive:  # the next check re-estimates lam
+                lam_step, state = _step_lambda(lam, state)
+                lam, r = lam_step, r + (lam - lam_step) * du
             u = u + step(frozen, lam, r, eta)
 
     return u, RunTrace(len(rows), *np.array(rows).T, dt_used=None,

@@ -7,30 +7,31 @@ discontinuities survive while oscillatory noise is diffused away.
 
 Both dimensions take their pair of Laplacians from one place (_laplacians)
 and run one loop, _iterate_filter on core._iterate, which the TV baseline
-runs too.  _iterate_filter forms the stationary residual r; the paths
-differ only in the correction step, and _evolve alone chooses it.  A fixed
-time step, or lambda = 0 without a noise target, takes explicit Euler steps
-u <- u + dt r (_explicit).  Otherwise the equilibrium is reached without
-time stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
-"Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
-(1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
-step freezes g at w = L_N u and takes u <- u + A^-1 r with
-A = L_D diag(g) L_N + lambda I.  L_N and L_D are the dimension's zero-slope
-and zero-value Laplacians: D0 and D1 in 1D, five-point stencils in 2D.
-Only the inner solve differs between the dimensions.  In 1D A is
-pentadiagonal, is written band by band in closed form
-(grid_ops.build_lagged_1d) and is solved exactly by banded LU (_lagged_1d).
-In 2D A is too large for that and non-symmetric (the mirror and
-zero-boundary Laplacians differ), so A^-1 r is approximated by one cycle of
-right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986), matrix-free, preconditioned by max(g) (L_row + L_col)^2 + lambda I
-(_lagged_2d).  That preconditioner is diagonal in the eigenbases of the row
-and column zero-slope Laplacians D0 (_d0_eigh, by
-scipy.linalg.eigh_tridiagonal); it is applied by dense matrix products with
-those two bases, not by a fast transform.  GMRES stops at the relative
-residual eta that core._iterate chooses for each correction by Eisenstat &
-Walker's choice 2 ("Choosing the forcing terms in an inexact Newton
-method", SIAM J. Sci. Comput. 17, 1996; core._forcing_term).
+runs too.  _iterate_filter supplies the diffusion term D(u) = L_D F(L_N u);
+core._iterate forms the stationary residual r = -D(u) - lambda (u - u0)
+from it.  The paths differ only in the correction step, and _evolve alone
+chooses it.  A fixed time step, or lambda = 0 without a noise target, takes
+explicit Euler steps u <- u + dt r (_explicit).  Otherwise the
+equilibrium is reached without time stepping, by the lagged-diffusivity
+fixed point of Vogel & Oman, "Iterative methods for total variation
+denoising", SIAM J. Sci. Comput. 17 (1996): writing F(w) = g(w) w with
+g = (w^2 + epsilon)^-p > 0, each outer step freezes g at w = L_N u and
+takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I.  L_N and L_D
+are the dimension's zero-slope and zero-value Laplacians: D0 and D1 in 1D,
+five-point stencils in 2D.  Only the inner solve differs between the
+dimensions.  In 1D A is pentadiagonal, is written band by band in closed
+form (grid_ops.build_lagged_1d) and is solved exactly by banded LU
+(_lagged_1d).  In 2D A is too large for that and non-symmetric (the mirror
+and zero-boundary Laplacians differ), so A^-1 r is approximated by one
+cycle of right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat.
+Comput. 7, 1986), matrix-free, preconditioned by
+max(g) (L_row + L_col)^2 + lambda I (_lagged_2d).  That preconditioner is
+diagonal in the eigenbases of the row and column zero-slope Laplacians D0
+(_d0_eigh, by scipy.linalg.eigh_tridiagonal); it is applied by dense matrix
+products with those two bases, not by a fast transform.  GMRES stops at the
+relative residual eta that core._iterate chooses for each correction by
+Eisenstat & Walker's choice 2 ("Choosing the forcing terms in an inexact
+Newton method", SIAM J. Sci. Comput. 17, 1996; core._forcing_term).
 
 The lagged fixed point converges only linearly, so in 1D at p = 0.5 each
 correction first tries the Newton step: g = F'(w) = epsilon (w^2 +
@@ -46,27 +47,22 @@ p > 0.5 F' < 0 wherever w^2 > epsilon/(2p - 1), and the rule failed to
 converge on some inputs or reached other states, so there, at lambda = 0
 (where A is singular) and in 2D every step is the lagged one.
 
-When the noise norm delta is known, lambda is chosen by Morozov's
-discrepancy principle (Soviet Math. Dokl. 7, 1966), so that
-||u - u0|| = delta.  Every checked iterate re-estimates lambda from the
-equilibrium identity (adaptive_lambda), and the stop rule certifies the
-stationary equation at that estimate, which forces ||u - u0|| = delta.  The
-correction steps take their lambda from a safeguarded secant on log lambda
-(_step_lambda) instead of the estimate itself, which would converge only
-linearly; fig5 at n=64 takes about 14 outer steps.
+When the noise norm delta is known (target_delta), core._iterate chooses
+lambda by the discrepancy principle, ||u - u0|| = delta; adaptive_lambda is
+its estimate on a given iterate.  fig5 at n=64 takes about 14 outer steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from .core import (Field2D, RunTrace, Signal1D, _iterate, require_count,
-                   require_finite, require_same_grid)
+from .core import (_LAMBDA_INIT, Field2D, RunTrace, Signal1D, _iterate,
+                   _lambda_estimate, require_count, require_finite,
+                   require_same_grid)
 from .grid_ops import (
     Stencil2DKind,
     apply_banded,
@@ -77,11 +73,8 @@ from .grid_ops import (
     solve_banded,
 )
 
-_LAMBDA_INIT = 1.0  # first-step fidelity weight before the adaptive estimate kicks in
 _SAFETY = 0.9
-_DELTA_FLOOR = 1e-30
 _GMRES_VECTORS = 50  # 2D inner solve: Krylov vectors of its one GMRES cycle
-_SECANT_CAP = 10.0  # longest secant step on log lam, in fixed-point steps
 
 
 class Solver(Enum):
@@ -97,9 +90,8 @@ class FilterParams:
     """Knobs of the nonlinear filter.
 
     lam is the fidelity weight; when target_delta (the known noise norm, in
-    the plain sample 2-norm) is set it takes over: every checked iterate
-    re-estimates lam, and the correction steps move their own lam toward the
-    estimate by a safeguarded secant (see the module docstring).  In 1D and
+    the plain sample 2-norm) is set it takes over: core._iterate chooses
+    lam by the discrepancy principle, ||u - u0|| = target_delta.  In 1D and
     2D alike, dt=None with lam > 0 or target_delta set selects lagged
     diffusivity (see the module docstring), and a fixed dt, or lam = 0
     without target_delta, takes explicit Euler steps of that size (a safe
@@ -109,6 +101,13 @@ class FilterParams:
     max_iters caps the corrections.  solver is accepted for compatibility
     and has no effect: dt, lam and target_delta choose the path.  All float
     knobs must be finite.
+
+    For p > 1/2 the flux is not monotone (F' < 0 wherever
+    w^2 > epsilon/(2p - 1)), so the stationary equation can have several
+    solutions, and the path of the iteration picks one.  A 2D equilibrium
+    at p >= 1 can then depend on the inner solves' tolerance: in three
+    pure-noise stress cases (16x16 and 24x40 fields, p = 1 and 2), two
+    states 0.85-1.71 apart (max-abs) both met the stop rule.
     """
 
     lam: float = 1.0
@@ -182,15 +181,14 @@ def rhs_1d(u: Signal1D, u0: Signal1D, params: FilterParams) -> np.ndarray:
 
 
 def rhs_2d(u: Field2D, u0: Field2D, params: FilterParams) -> Field2D:
-    """2D evolution right-hand side; see rhs_1d for the 1D analogue."""
-    require_same_grid(u, u0)
-    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
-    return u.with_values(-diffusion - params.lam * (u.values - u0.values))
+    """2D evolution right-hand side: rhs_1d's formula, on a field."""
+    return u.with_values(rhs_1d(u, u0, params))
 
 
 def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
                     params: FilterParams) -> float:
-    """Fidelity weight from the equilibrium identity.
+    """Fidelity weight from the equilibrium identity, as core._iterate
+    estimates it on every adaptive check after the first.
 
     At equilibrium the diffusion term balances lam (u - u0), so
     lam = -<u - u0, diffusion(u)>_h / delta_h^2.  Both sides carry the same
@@ -202,13 +200,6 @@ def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
     require_same_grid(u, u0)
     diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
     return _lambda_estimate(u.values - u0.values, diffusion, params.target_delta)
-
-
-def _lambda_estimate(du: np.ndarray, diffusion: np.ndarray,
-                     target_delta: float) -> float:
-    # -<u - u0, diffusion> / delta^2, clipped at zero; see adaptive_lambda
-    est = -float(np.sum(du * diffusion)) / max(target_delta**2, _DELTA_FLOOR)
-    return max(est, 0.0)
 
 
 def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
@@ -274,91 +265,49 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     return _iterate_filter(u0v, u, h, params, lagged, newton)
 
 
-def _step_lambda(lam_est: float, state) -> tuple[float, tuple | None]:
-    """The lam of the next correction, from the lam_est of the iterate it
-    corrects, and the state for the next call; state is None at the start.
-
-    state holds x = log lam of the last step and the (x, f) pair of the step
-    before it (None if there is none), with f = log lam_est - x.  The
-    fixed-point step x + f sets lam to lam_est; the first step, and a step at
-    lam_est = 0, which also starts the history over, take it.  The secant
-    through the last pair and (x, f) replaces it when it points the same way
-    as f, shortened to at most _SECANT_CAP |f|.
-    """
-    if state is None or lam_est == 0.0:
-        return lam_est, ((math.log(lam_est), None) if lam_est > 0 else None)
-    x, prev = state
-    f = math.log(lam_est) - x
-    if prev is not None and f != prev[1]:
-        move = -f * (x - prev[0]) / (f - prev[1])
-        if move * f > 0:
-            x_next = x + math.copysign(min(abs(move), _SECANT_CAP * abs(f)), f)
-            return math.exp(x_next), (x_next, (x, f))
-    return lam_est, (x + f, (x, f))
-
-
 def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
                     params: FilterParams, step,
                     newton=None) -> tuple[np.ndarray, RunTrace]:
     """core._iterate from u to the equilibrium of the data u0v, on the
-    filter's stationary residual r = -outer(F(w)) - lam (u - u0), w = inner(u).
+    filter's diffusion term D(u) = outer(F(w)), w = inner(u).
 
     inner and outer are the dimension's _laplacians, and F(w) goes through
-    flux, so that r is bit for bit rhs_1d's / rhs_2d's.  In adaptive mode the
-    first check uses _LAMBDA_INIT and every later one re-estimates lam from
-    the iterate it checks (lam_est): the stop rule and the trace see
-    lam_est.  The correction runs at its own lam_step from _step_lambda,
-    which drives f = log lam_est - log lam_step to zero by a safeguarded
-    secant, where taking lam_step = lam_est (the fixed point) would converge
-    only linearly; it solves with the residual formed at lam_step,
-    r + (lam_est - lam_step)(u - u0).  At a fixed lam the correction solves
-    with r itself.
-
-    step(w, lam, r, eta) and newton(w, lam, r, eta) return a correction
-    delta, eta being core._iterate's forcing term.  When
-    newton is given and lam > 0 (at lam = 0 the Jacobian is singular), its
-    delta is a trial, kept when the residual at u + delta, formed by the same
-    evaluate as every checked residual, is at most half of r; otherwise step
-    corrects.  A kept trial's (w, diffusion) serves the next check:
-    core._iterate forms that iterate as u + delta too, so the check stays
-    bit for bit rhs_1d's.
+    flux, so that core._iterate's residual is bit for bit rhs_1d's /
+    rhs_2d's.  step(w, lam, r, eta) and newton(w, lam, r, eta) return a
+    correction delta, at the lam and residual r that core._iterate hands
+    the step.  When newton is given and lam > 0 (at lam = 0 the Jacobian is
+    singular), its delta is a trial, kept when the residual at u + delta,
+    formed from the same evaluate as every checked iterate's, is at most
+    half of r; otherwise step corrects.  A kept trial's (w, D) serves the
+    next check: core._iterate forms that iterate as u + delta too.
     """
     inner, outer = _laplacians(u.shape, h)
-    adaptive = params.target_delta is not None
-    lam0 = _LAMBDA_INIT if adaptive else params.lam
-    state = None  # what _step_lambda carries from one correction to the next
-    kept = None  # a kept trial's (w, diffusion), for the check at u + delta
+    kept = None  # a kept trial's (w, D), for the check at u + delta
 
     def evaluate(u):
         w = inner(u)
         return w, outer(flux(w, params.epsilon, params.p))
 
-    def residual(u, it):
+    def diffusion(u):
         nonlocal kept
-        (w, diffusion), kept = kept or evaluate(u), None
-        lam = lam0
-        du = u - u0v
-        if adaptive and it > 1:
-            lam = _lambda_estimate(du, diffusion, params.target_delta)
-        return -diffusion - lam * du, lam, (u, w, du)
+        (w, d), kept = kept or evaluate(u), None
+        return d, (u, w)
 
     def correction(frozen, lam, r, eta):
-        nonlocal state, kept
-        u, w, du = frozen
-        if adaptive:
-            lam_step, state = _step_lambda(lam, state)
-            lam, r = lam_step, r + (lam - lam_step) * du
+        nonlocal kept
+        u, w = frozen
         if newton is not None and lam > 0:
             delta = newton(w, lam, r, eta)
             trial = u + delta
-            w_t, diffusion = evaluate(trial)
-            if np.linalg.norm(-diffusion - lam * (trial - u0v)) \
+            w_t, d = evaluate(trial)
+            if np.linalg.norm(-d - lam * (trial - u0v)) \
                     <= 0.5 * np.linalg.norm(r):
-                kept = w_t, diffusion
+                kept = w_t, d
                 return delta
         return step(w, lam, r, eta)
 
-    return _iterate(u0v, u, params.tol, params.max_iters, residual, correction)
+    return _iterate(u0v, u, params.tol, params.max_iters, params.lam,
+                    params.target_delta, diffusion, correction)
 
 
 def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,

@@ -37,8 +37,10 @@ Comput. 17, 1996; core._forcing_term).  Neither changes the equilibrium: a
 solve converges once ||r|| <= 10 tol lam ||u - u0||, whatever the steps
 did.
 
-The iteration is core._iterate, the loop every solver in lapden runs; this
-module supplies the face residual and the primal-dual step.
+The iteration is core._iterate, the loop every solver in lapden runs, at
+the fixed lam of TvParams; this module supplies the diffusion term
+D(u) = -div(grad u / |grad u|_beta), from which core._iterate forms r, and
+the primal-dual step.
 """
 
 from __future__ import annotations
@@ -137,11 +139,8 @@ def tv_rhs_1d(u: Signal1D, u0: Signal1D, params: TvParams) -> np.ndarray:
 
 
 def tv_rhs_2d(u: Field2D, u0: Field2D, params: TvParams) -> Field2D:
-    require_same_grid(u, u0)
-    faces = _tv_faces(u.values, u.h, params.beta)
-    rhs = _tv_divergence(u.values, u.h, faces) \
-        - params.lam * (u.values - u0.values)
-    return u.with_values(rhs)
+    """tv_rhs_1d's formula, on a field."""
+    return u.with_values(tv_rhs_1d(u, u0, params))
 
 
 def _tv_operator(faces, duals, shape: tuple, h: float, lam: float) -> tuple:
@@ -223,10 +222,9 @@ def _tv_evolve(values0: np.ndarray, h: float,
                          f"weight must be positive), got {lam}")
     duals = None  # the dual flux w of every face, one array per axis
 
-    def residual(u, it):
+    def diffusion(u):
         faces = _tv_faces(u, h, params.beta)
-        r = _tv_divergence(u, h, faces) - lam * (u - values0)
-        return r, lam, faces
+        return -_tv_divergence(u, h, faces), faces
 
     def solve(faces, lam, r, eta):
         nonlocal duals
@@ -246,7 +244,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
         return du
 
     return _iterate(values0, values0.copy(), params.tol, params.max_iters,
-                    residual, solve)
+                    lam, None, diffusion, solve)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

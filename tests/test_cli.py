@@ -135,6 +135,14 @@ class TestDenoise1D:
         assert code == 2
         assert "line 3: non-finite sample" in capsys.readouterr().err
 
+    def test_non_finite_domain_rejected(self, tmp_path, capsys):
+        path, out = tmp_path / "domain.csv", tmp_path / "out.csv"
+        path.write_text("# h=1.0 a=nan b=4.0\n1.0\n2.0\n1.5\n")
+        code = main(["denoise1d", "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "domain ends must be finite" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, sine_files, tmp_path):
         _, noisy_path = sine_files
         code = main(["denoise1d", "--input", str(noisy_path),

@@ -56,6 +56,14 @@ class TestCsv:
         with pytest.raises(CsvParseError, match=f"line 3: non-finite sample"):
             read_csv_1d(path)
 
+    @pytest.mark.parametrize("a, b", [("nan", "4.0"), ("inf", "inf"),
+                                      ("-inf", "-inf"), ("nan", "nan")])
+    def test_non_finite_domain_rejected(self, tmp_path, a, b):
+        path = tmp_path / "domain.csv"
+        path.write_text(f"# h=1.0 a={a} b={b}\n1\n2\n3\n")
+        with pytest.raises(ValueError, match="domain ends must be finite"):
+            read_csv_1d(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

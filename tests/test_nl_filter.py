@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lapden.core as core
 import lapden.nl_filter as nl_filter
 from lapden import (
     DivergenceError,
@@ -431,7 +432,7 @@ class TestLagged2D:
         # lam = 0 leaves A and the preconditioner singular, since L_N
         # annihilates constants; the solve must not shift the constant mode
         # by a round-off pivot (~1e12), nor certify a step it could not take
-        monkeypatch.setattr(nl_filter, "_lambda_estimate", lambda *args: 0.0)
+        monkeypatch.setattr(core, "_lambda_estimate", lambda *args: 0.0)
         _, noisy, delta = noisy_f2d(16, seed=4)
         params = FilterParams(target_delta=delta, max_iters=5)
         restored, trace = denoise_2d(noisy, params)
@@ -532,7 +533,7 @@ class TestLagged1D:
     def test_zero_lambda_estimate_keeps_steps_bounded(self, monkeypatch):
         # lam = 0 leaves A singular, since D0 annihilates constants; the
         # solve must not fail or shift the constant mode by a round-off pivot
-        monkeypatch.setattr(nl_filter, "_lambda_estimate", lambda *args: 0.0)
+        monkeypatch.setattr(core, "_lambda_estimate", lambda *args: 0.0)
         noisy = add_noise(sample_f_sine(40), NoiseSpec(seed=4, delta_rel=0.09))
         params = FilterParams(target_delta=1.0, max_iters=5)
         restored, trace = denoise_1d(noisy, params)
@@ -583,6 +584,10 @@ class TestLaggedHistory:
         assert trace.residual_history[-1] <= 10.0 * params.tol * lam * fid
         assert np.all(trace.residual_history[:-1] > 10.0 * params.tol
                       * trace.lambda_history[:-1] * trace.fidelity_history[:-1])
+        # the first check runs at the initial weight, the last at the
+        # estimate that adaptive_lambda makes from the returned iterate
+        assert trace.lambda_history[0] == 1.0
+        assert lam == adaptive_lambda(restored, noisy, params)
 
 
 class TestStepLambda:
@@ -590,18 +595,18 @@ class TestStepLambda:
     # f = log lam_est - x; its state is (x, (x, f) of the step before)
 
     def test_first_step_is_the_fixed_point(self):
-        lam, state = nl_filter._step_lambda(2.5, None)
+        lam, state = core._step_lambda(2.5, None)
         assert lam == 2.5
         assert state == (math.log(2.5), None)
 
     def test_fixed_point_without_a_secant_pair(self):
-        lam, state = nl_filter._step_lambda(math.e, (0.0, None))
+        lam, state = core._step_lambda(math.e, (0.0, None))
         assert lam == math.e
         assert state == (1.0, (0.0, 1.0))
 
     def test_secant_step(self):
         # the secant through (-1, 1.5) and (0, 1) meets f = 0 at x = 2
-        lam, state = nl_filter._step_lambda(math.e, (0.0, (-1.0, 1.5)))
+        lam, state = core._step_lambda(math.e, (0.0, (-1.0, 1.5)))
         assert lam == pytest.approx(math.exp(2.0), rel=1e-15)
         assert state == (pytest.approx(2.0, rel=1e-15), (0.0, 1.0))
 
@@ -609,23 +614,23 @@ class TestStepLambda:
                              ids=["backward", "backward-other-side", "flat"])
     def test_falls_back_to_the_fixed_point(self, prev):
         # the secant points against f = 1 (or, with f_prev = f, nowhere)
-        lam, state = nl_filter._step_lambda(math.e, (0.0, prev))
+        lam, state = core._step_lambda(math.e, (0.0, prev))
         assert lam == math.e
         assert state == (1.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_secant_capped_at_ten_fixed_point_steps(self, sign):
         # uncapped, the secant through (-s, 1.05 s) and (0, s) moves 20 s
-        lam, state = nl_filter._step_lambda(math.exp(sign),
-                                            (0.0, (-sign, 1.05 * sign)))
-        assert nl_filter._SECANT_CAP == 10.0
+        lam, state = core._step_lambda(math.exp(sign),
+                                       (0.0, (-sign, 1.05 * sign)))
+        assert core._SECANT_CAP == 10.0
         assert state[0] == pytest.approx(10.0 * sign, rel=1e-14)
         assert lam == pytest.approx(math.exp(10.0 * sign), rel=1e-13)
 
     def test_zero_estimate_resets_the_history(self):
-        lam, state = nl_filter._step_lambda(0.0, (0.3, (0.1, 0.2)))
+        lam, state = core._step_lambda(0.0, (0.3, (0.1, 0.2)))
         assert lam == 0.0 and state is None
-        lam, state = nl_filter._step_lambda(4.0, state)
+        lam, state = core._step_lambda(4.0, state)
         assert lam == 4.0
         assert state == (math.log(4.0), None)
 

@@ -206,6 +206,16 @@ class TestSampleContainers:
         with pytest.raises(ValueError, match=r"samples must be finite.*\(1, 1\)"):
             Field2D(values.reshape(2, 3))
 
+    @pytest.mark.parametrize("domain", [(float("nan"), 4.0),
+                                        (float("inf"), float("inf")),
+                                        (-float("inf"), -float("inf")),
+                                        (float("nan"), float("nan"))],
+                             ids=["nan-a", "inf-inf", "-inf--inf", "nan-nan"])
+    def test_non_finite_domain_rejected(self, domain):
+        # b - a is nan for each of these, which no length comparison rejects
+        with pytest.raises(ValueError, match="domain ends must be finite"):
+            Signal1D(np.ones(3), domain=domain)
+
     def test_infinite_spacing_rejected(self):
         with pytest.raises(ValueError, match="grid spacing"):
             Signal1D(np.ones(4), h=float("inf"))

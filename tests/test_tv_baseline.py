@@ -381,11 +381,13 @@ class TestLaggedDiffusivity:
         # iterate the loop checks
         iterates = []
 
-        def recording(u0v, u, tol, max_iters, residual, step):
-            def recorded(u, it):
+        def recording(u0v, u, tol, max_iters, lam, target_delta, diffusion,
+                      step):
+            def recorded(u):
                 iterates.append(u.copy())
-                return residual(u, it)
-            return core._iterate(u0v, u, tol, max_iters, recorded, step)
+                return diffusion(u)
+            return core._iterate(u0v, u, tol, max_iters, lam, target_delta,
+                                 recorded, step)
 
         monkeypatch.setattr(tv_baseline, "_iterate", recording)
         beta, lam = TV_1D.beta, TV_1D.lam
@@ -441,6 +443,7 @@ class TestLaggedDiffusivity:
             tv_rhs_1d(restored, noisy, params))
         assert trace.fidelity_history[-1] == np.linalg.norm(
             restored.values - noisy.values)
+        assert np.all(trace.lambda_history == params.lam)
 
     def test_first_step_is_the_lagged_step(self):
         # from w = 0 the face weights are 1/(h^2 |grad u|_beta), so the first
