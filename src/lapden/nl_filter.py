@@ -5,26 +5,27 @@ the double-Laplacian analogue in 2D), which solves the fourth-order
 stationary filter equation.  F saturates large curvature, so
 discontinuities survive while oscillatory noise is diffused away.
 
-Both dimensions take their pair of Laplacians from one place (_laplacians)
-and run one loop, _iterate_filter on core._iterate, which the TV baseline
-runs too.  _iterate_filter supplies the diffusion term D(u) = L_D F(L_N u);
-core._iterate forms the stationary residual r = -D(u) - lambda (u - u0)
-from it.  The paths differ only in the correction step, and _evolve alone
-chooses it.  A fixed time step, or lambda = 0 without a noise target, takes
-explicit Euler steps u <- u + dt r (_explicit).  Otherwise the
-equilibrium is reached without time stepping, by the lagged-diffusivity
-fixed point of Vogel & Oman, "Iterative methods for total variation
-denoising", SIAM J. Sci. Comput. 17 (1996): writing F(w) = g(w) w with
-g = (w^2 + epsilon)^-p > 0, each outer step freezes g at w = L_N u and
-takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I.  L_N and L_D
-are the dimension's zero-slope and zero-value Laplacians: D0 and D1 in 1D,
-five-point stencils in 2D.  Only the inner solve differs between the
-dimensions.  In 1D A is pentadiagonal, is written band by band in closed
-form (grid_ops.build_lagged_1d) and is solved exactly by banded LU
-(_lagged_1d).  In 2D A is too large for that and non-symmetric (the mirror
-and zero-boundary Laplacians differ), so A^-1 r is approximated by one
-cycle of right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat.
-Comput. 7, 1986), matrix-free, preconditioned by
+Both dimensions take their pair of Laplacians from one place (_laplacians),
+and one evaluator (_evaluator) forms the diffusion term D(u) = L_D F(L_N u)
+from them, for the loop, the right-hand sides and adaptive_lambda.  The
+loop is core._iterate, which the TV baseline runs too: it forms the
+stationary residual r = -D(u) - lambda (u - u0) from D(u).  _evolve hands
+it D(u) and the correction step, which it alone chooses.  A fixed time
+step, or lambda = 0 without a noise target, takes explicit Euler steps
+u <- u + dt r (_explicit).  Otherwise the equilibrium is reached without
+time stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
+"Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
+(1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
+step freezes g at w = L_N u and takes u <- u + A^-1 r with
+A = L_D diag(g) L_N + lambda I.  L_N and L_D are the dimension's
+zero-slope and zero-value Laplacians: D0 and D1 in 1D, five-point stencils
+in 2D.  Only the inner solve differs between the dimensions.  In 1D A is
+pentadiagonal, is written band by band in closed form
+(grid_ops.build_lagged_1d) and is solved exactly by banded LU
+(grid_ops.solve_banded).  In 2D A is too large for that and non-symmetric
+(the mirror and zero-boundary Laplacians differ), so A^-1 r is
+approximated by one cycle of right-preconditioned GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, preconditioned by
 max(g) (L_row + L_col)^2 + lambda I (_lagged_2d).  That preconditioner is
 diagonal in the eigenbases of the row and column zero-slope Laplacians D0
 (_d0_eigh, by scipy.linalg.eigh_tridiagonal); it is applied by dense matrix
@@ -74,6 +75,8 @@ from .grid_ops import (
 )
 
 _SAFETY = 0.9
+# the largest target_delta whose square (core._lambda_estimate) is finite
+_DELTA_MAX = float(np.sqrt(np.finfo(float).max))
 _GMRES_VECTORS = 50  # 2D inner solve: Krylov vectors of its one GMRES cycle
 
 
@@ -100,7 +103,8 @@ class FilterParams:
     satisfies ||r|| <= 10 tol lam ||u - u0||, as for the TV baseline, and
     max_iters caps the corrections.  solver is accepted for compatibility
     and has no effect: dt, lam and target_delta choose the path.  All float
-    knobs must be finite.
+    knobs must be finite, and target_delta at most sqrt(float max), about
+    1.34e154, so that its square is finite.
 
     For p > 1/2 the flux is not monotone (F' < 0 wherever
     w^2 > epsilon/(2p - 1)), so the stationary equation can have several
@@ -132,8 +136,9 @@ class FilterParams:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.target_delta is not None and not self.target_delta > 0:
-            raise ValueError(f"target_delta must be > 0, got {self.target_delta}")
+        if self.target_delta is not None and not 0 < self.target_delta <= _DELTA_MAX:
+            raise ValueError(f"target_delta must be > 0 and at most {_DELTA_MAX:.4g} "
+                             f"(its square must be finite), got {self.target_delta}")
 
 
 def flux(w, epsilon: float, p: float):
@@ -167,16 +172,26 @@ def _laplacians(shape: tuple[int, ...], h: float):
             lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO))
 
 
-def _diffusion(values: np.ndarray, h: float, epsilon: float, p: float) -> np.ndarray:
-    """outer(F(inner(u))): the stationary equation's diffusion term."""
-    inner, outer = _laplacians(values.shape, h)
-    return outer(flux(inner(values), epsilon, p))
+def _evaluator(shape: tuple[int, ...], h: float, params: FilterParams):
+    """u -> (D, w): the filter's diffusion term D(u) = outer(F(w)) and
+    w = inner(u), for the dimension's _laplacians.
+
+    F(w) goes through flux, which, like the Laplacians, is looked up when
+    called.
+    """
+    inner, outer = _laplacians(shape, h)
+
+    def evaluate(u):
+        w = inner(u)
+        return outer(flux(w, params.epsilon, params.p)), w
+
+    return evaluate
 
 
 def rhs_1d(u: Signal1D, u0: Signal1D, params: FilterParams) -> np.ndarray:
     """-D1 F(u) - lam (u - u0) on the shared grid of u and u0."""
     require_same_grid(u, u0)
-    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
+    diffusion, _ = _evaluator(u.values.shape, u.h, params)(u.values)
     return -diffusion - params.lam * (u.values - u0.values)
 
 
@@ -198,7 +213,7 @@ def adaptive_lambda(u: Signal1D | Field2D, u0: Signal1D | Field2D,
     if params.target_delta is None:
         raise ValueError("adaptive lambda needs params.target_delta")
     require_same_grid(u, u0)
-    diffusion = _diffusion(u.values, u.h, params.epsilon, params.p)
+    diffusion, _ = _evaluator(u.values.shape, u.h, params)(u.values)
     return _lambda_estimate(u.values - u0.values, diffusion, params.target_delta)
 
 
@@ -232,88 +247,64 @@ def denoise_2d(u0: Field2D, params: FilterParams,
 
 def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
             params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """From u to the equilibrium of the data u0v, in either dimension: the
-    one place that chooses the correction step.
+    """core._iterate from u to the equilibrium of the data u0v, in either
+    dimension: the one place that chooses the correction step.
 
     dt unset with lam > 0 or target_delta set takes the lagged step, with
     the Newton step tried first in 1D at p = 0.5 (see the module
-    docstring); everything else takes explicit Euler steps.  At lam = 0 the
-    frozen matrix is singular (L_N annihilates constants), so a fixed
-    lam = 0 has no lagged step, and a lam estimate of 0 solves with
-    _LAMBDA_INIT in its place, in both dimensions.  solve(g, lam, r, eta),
-    from _lagged_1d or _lagged_2d, returns (an approximation of) A^-1 r for
-    the frozen matrix A = outer diag(g) inner + lam I, exact in 1D and to
-    the relative residual eta in 2D: the lagged step takes
-    g = (w^2 + epsilon)^-p, so that F(w) = g w, and the Newton step
-    g = F'(w), so that A is minus the Jacobian of r.
+    docstring); everything else takes explicit Euler steps (_explicit).
+    The loop gets the diffusion term from _evaluator, and step(frozen, lam,
+    r, eta) returns the correction at the lam and residual r it is handed.
+    solve(g, lam, r, eta) returns (an approximation of) A^-1 r for the
+    frozen matrix A = outer diag(g) inner + lam I: banded LU in 1D, exact
+    whatever eta asks, and _lagged_2d in 2D, to the relative residual eta.
+    The lagged step takes g = (w^2 + epsilon)^-p, so that F(w) = g w.  At
+    lam = 0 A is singular (L_N annihilates constants), so a fixed lam = 0
+    has no lagged step, and a lam estimate of 0 solves with _LAMBDA_INIT in
+    its place, in both dimensions.  The Newton step takes g = F'(w), so
+    that A is minus the Jacobian of r, and only at lam > 0.  Its delta is a
+    trial, kept when the residual at u + delta is at most half of r, and
+    the kept trial's (D, w) serves the next check: core._iterate forms that
+    iterate as u + delta too.
     """
     if params.dt is not None or (params.target_delta is None and params.lam == 0):
         return _explicit(u0v, u, h, params)
     eps, p = params.epsilon, params.p
-    solve = _lagged_1d(h) if u.ndim == 1 else _lagged_2d(u.shape, h)
-    newton = None
-    if u.ndim == 1 and p == 0.5:
-        def newton(w, lam, r, eta):
-            return solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
+    evaluate = _evaluator(u.shape, h, params)
+    solve = (_lagged_2d(u.shape, h) if u.ndim == 2 else
+             lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r))
+    newton = u.ndim == 1 and p == 0.5
+    kept = None  # a kept trial's (D, w), for the check at u + delta
 
-    def lagged(w, lam, r, eta):
+    def diffusion(u):
+        nonlocal kept
+        (d, w), kept = kept or evaluate(u), None
+        return d, (u, w)
+
+    def step(frozen, lam, r, eta):
+        nonlocal kept
+        u, w = frozen
+        if newton and lam > 0:
+            delta = solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
+            trial = u + delta
+            d, w_trial = evaluate(trial)
+            if np.linalg.norm(-d - lam * (trial - u0v)) \
+                    <= 0.5 * np.linalg.norm(r):
+                kept = d, w_trial
+                return delta
         # a zero lam estimate would leave the constant mode without a pivot;
         # the initial weight then stands in
         return solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
                      r, eta)
 
-    return _iterate_filter(u0v, u, h, params, lagged, newton)
-
-
-def _iterate_filter(u0v: np.ndarray, u: np.ndarray, h: float,
-                    params: FilterParams, step,
-                    newton=None) -> tuple[np.ndarray, RunTrace]:
-    """core._iterate from u to the equilibrium of the data u0v, on the
-    filter's diffusion term D(u) = outer(F(w)), w = inner(u).
-
-    inner and outer are the dimension's _laplacians, and F(w) goes through
-    flux, so that core._iterate's residual is bit for bit rhs_1d's /
-    rhs_2d's.  step(w, lam, r, eta) and newton(w, lam, r, eta) return a
-    correction delta, at the lam and residual r that core._iterate hands
-    the step.  When newton is given and lam > 0 (at lam = 0 the Jacobian is
-    singular), its delta is a trial, kept when the residual at u + delta,
-    formed from the same evaluate as every checked iterate's, is at most
-    half of r; otherwise step corrects.  A kept trial's (w, D) serves the
-    next check: core._iterate forms that iterate as u + delta too.
-    """
-    inner, outer = _laplacians(u.shape, h)
-    kept = None  # a kept trial's (w, D), for the check at u + delta
-
-    def evaluate(u):
-        w = inner(u)
-        return w, outer(flux(w, params.epsilon, params.p))
-
-    def diffusion(u):
-        nonlocal kept
-        (w, d), kept = kept or evaluate(u), None
-        return d, (u, w)
-
-    def correction(frozen, lam, r, eta):
-        nonlocal kept
-        u, w = frozen
-        if newton is not None and lam > 0:
-            delta = newton(w, lam, r, eta)
-            trial = u + delta
-            w_t, d = evaluate(trial)
-            if np.linalg.norm(-d - lam * (trial - u0v)) \
-                    <= 0.5 * np.linalg.norm(r):
-                kept = w_t, d
-                return delta
-        return step(w, lam, r, eta)
-
     return _iterate(u0v, u, params.tol, params.max_iters, params.lam,
-                    params.target_delta, diffusion, correction)
+                    params.target_delta, diffusion, step)
 
 
 def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
               params: FilterParams) -> tuple[np.ndarray, RunTrace]:
     """Explicit Euler time steps u <- u + dt r from u to the equilibrium of
-    the data u0v.
+    the data u0v, on _evaluator's diffusion term.
 
     The step is params.dt, or else a safety factor times stable_step_bound
     at the current lam: _SAFETY in 1D, and a quarter of it in 2D, where the
@@ -325,8 +316,9 @@ def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
     def dt(lam):
         return params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
 
-    u, trace = _iterate_filter(u0v, u, h, params,
-                               lambda w, lam, r, eta: dt(lam) * r)
+    u, trace = _iterate(u0v, u, params.tol, params.max_iters, params.lam,
+                        params.target_delta, _evaluator(u.shape, h, params),
+                        lambda w, lam, r, eta: dt(lam) * r)
     return u, replace(trace, dt_used=float(dt(trace.lambda_history[-1])))
 
 
@@ -380,12 +372,6 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
     y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
                                       check_finite=False)
     return precond(y @ basis[:size])
-
-
-def _lagged_1d(h: float):
-    """The 1D inner solve: A = D1 diag(g) D0 + lam I is pentadiagonal and is
-    solved exactly, whatever eta asks."""
-    return lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r)
 
 
 def _lagged_2d(shape: tuple[int, int], h: float):

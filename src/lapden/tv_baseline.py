@@ -38,9 +38,10 @@ solve converges once ||r|| <= 10 tol lam ||u - u0||, whatever the steps
 did.
 
 The iteration is core._iterate, the loop every solver in lapden runs, at
-the fixed lam of TvParams; this module supplies the diffusion term
-D(u) = -div(grad u / |grad u|_beta), from which core._iterate forms r, and
-the primal-dual step.
+the fixed lam of TvParams.  This module supplies the primal-dual step and
+the diffusion term D(u) = -div(grad u / |grad u|_beta), formed in one place
+(_tv_diffusion) for the loop and for tv_rhs_1d/tv_rhs_2d; core._iterate
+forms r from it.
 """
 
 from __future__ import annotations
@@ -124,18 +125,19 @@ def _net_flux(shape: tuple, fluxes) -> np.ndarray:
     return net
 
 
-def _tv_divergence(values: np.ndarray, h: float, faces) -> np.ndarray:
-    """div(grad u / |grad u|_beta) from the faces of u."""
-    return _net_flux(values.shape, ((*_sides(values.ndim, axis), diff / mag)
-                                    for axis, diff, mag in faces)) / h
+def _tv_diffusion(values: np.ndarray, h: float, beta: float) -> tuple:
+    """The diffusion term D(u) = -div(grad u / |grad u|_beta) and the faces
+    of u (_tv_faces) it is formed from."""
+    faces = _tv_faces(values, h, beta)
+    return -_net_flux(values.shape, ((*_sides(values.ndim, axis), diff / mag)
+                                     for axis, diff, mag in faces)) / h, faces
 
 
 def tv_rhs_1d(u: Signal1D, u0: Signal1D, params: TvParams) -> np.ndarray:
     """Curvature flow plus fidelity: div(u_x/|u_x|_beta) - lam (u - u0)."""
     require_same_grid(u, u0)
-    faces = _tv_faces(u.values, u.h, params.beta)
-    return _tv_divergence(u.values, u.h, faces) \
-        - params.lam * (u.values - u0.values)
+    diffusion, _ = _tv_diffusion(u.values, u.h, params.beta)
+    return -diffusion - params.lam * (u.values - u0.values)
 
 
 def tv_rhs_2d(u: Field2D, u0: Field2D, params: TvParams) -> Field2D:
@@ -222,10 +224,6 @@ def _tv_evolve(values0: np.ndarray, h: float,
                          f"weight must be positive), got {lam}")
     duals = None  # the dual flux w of every face, one array per axis
 
-    def diffusion(u):
-        faces = _tv_faces(u, h, params.beta)
-        return -_tv_divergence(u, h, faces), faces
-
     def solve(faces, lam, r, eta):
         nonlocal duals
         if duals is None:
@@ -244,7 +242,7 @@ def _tv_evolve(values0: np.ndarray, h: float,
         return du
 
     return _iterate(values0, values0.copy(), params.tol, params.max_iters,
-                    lam, None, diffusion, solve)
+                    lam, None, lambda u: _tv_diffusion(u, h, params.beta), solve)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

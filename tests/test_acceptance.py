@@ -12,7 +12,6 @@ import lapden as L
 from lapden.cli import main
 from lapden.experiments import NLAP_1D, NLAP_2D, TV_1D, TV_2D, \
     preserved_jump_count
-from lapden.nl_filter import Solver
 
 from test_grid_ops import dense_d0, dense_d1
 from test_nl_filter import dense_lap2d
@@ -98,8 +97,7 @@ def test_criterion_02_one_step_oracle_equivalence():
             p = float(rng.uniform(0.5, 1.5))
             dt = 1e-3
             params = L.FilterParams(lam=lam, epsilon=eps, p=p, dt=dt,
-                                    max_iters=1, tol=1e-300,
-                                    solver=Solver.EXPLICIT_EULER)
+                                    max_iters=1, tol=1e-300)
             stepped, _ = L.denoise_1d(u0, params)
             d0, d1 = dense_d0(n, 1.0), dense_d1(n, 1.0)
             expect = u0.values - dt * (d1 @ L.flux(d0 @ u0.values, eps, p))
@@ -143,8 +141,10 @@ def test_criterion_03_equilibrium_certificate(fig2_runs, fig5_runs):
     # two extra seeded runs to span the explicit 1D solver and a second seed
     clean = L.sample_f_sine(60)
     noisy7 = L.add_noise(clean, L.NoiseSpec(seed=7, delta_rel=0.05))
-    p_expl = L.FilterParams(lam=1.0, solver=Solver.EXPLICIT_EULER, tol=1e-6)
+    p_expl = L.FilterParams(lam=1.0, tol=1e-6,
+                            dt=0.9 * L.stable_step_bound(1.0, 1e-2, 0.5, 1.0))
     u_e, tr_e = L.denoise_1d(noisy7, p_expl)
+    assert tr_e.dt_used is not None, "the explicit run took no time steps"
     runs.append(("1d-nlap-explicit", noisy7, u_e, tr_e, p_expl))
     p_tv7 = L.TvParams(lam=4.0, tol=1e-6, max_iters=400_000)
     u_t7, tr_t7 = L.tv_denoise_1d(noisy7, p_tv7)

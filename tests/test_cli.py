@@ -128,6 +128,16 @@ class TestDenoise1D:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_delta_with_infinite_square_rejected(self, sine_files, tmp_path,
+                                                 capsys):
+        _, noisy_path = sine_files
+        out = tmp_path / "out.csv"
+        code = main(["denoise1d", "--input", str(noisy_path),
+                     "--output", str(out), "--delta", "1e300"])
+        assert code == 2
+        assert not out.exists()
+        assert "its square must be finite" in capsys.readouterr().err
+
     def test_non_finite_sample_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text("1.0\n2.0\nnan\n1.5\n")

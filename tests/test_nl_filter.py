@@ -732,6 +732,16 @@ class TestFilterParamsValidation:
         with pytest.raises(ValueError):
             FilterParams(target_delta=0.0)
 
+    @pytest.mark.parametrize("value", [1e155, 1e300])
+    def test_target_delta_square_finite(self, value):
+        # the lambda estimate divides by delta**2, which overflows past
+        # sqrt(float max); the largest delta with a finite square still runs
+        with pytest.raises(ValueError, match="its square must be finite"):
+            FilterParams(target_delta=value)
+        largest = float(np.sqrt(np.finfo(float).max))
+        u0 = sample_f_sine(16)
+        assert adaptive_lambda(u0, u0, FilterParams(target_delta=largest)) == 0.0
+
     @pytest.mark.parametrize("value", [0, 1.5])
     def test_max_iters_positive_integer(self, value):
         with pytest.raises(ValueError, match="max_iters"):
