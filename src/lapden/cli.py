@@ -30,7 +30,7 @@ def _add_common_flags(sub, tv: bool):
     sub.add_argument("--output", type=Path, default=None)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="fixed fidelity weight (default 1.0)")
+                       help="fixed fidelity weight, > 0 (default 1.0)")
     if not tv:
         group.add_argument("--delta", type=float, default=None,
                            help="known noise norm; drives adaptive lambda")
@@ -41,8 +41,7 @@ def _add_common_flags(sub, tv: bool):
         sub.add_argument("--dt", type=_dt_value, default=None, metavar="DT|auto",
                          help="explicit-Euler time step; 'auto' (default) "
                               "solves the equilibrium by lagged diffusivity "
-                              "instead, except with --lambda 0, where it "
-                              "picks a stable step")
+                              "instead")
     else:
         sub.add_argument("--beta", type=float, default=1e-6,
                          help="gradient regularizer (default 1e-6)")
@@ -128,11 +127,13 @@ def cmd_denoise(args) -> int:
     # it can be wrapped
     read = read_csv_1d if one_d else read_pgm
     noisy = read(args.input)
-    # the clean file and the output directories are checked before the
-    # solve, so that a rejected run leaves no output
-    for path in (args.output, args.plot, args.report):
-        if path is not None and not path.parent.is_dir():
+    # the clean file and the output paths are checked before the solve, so
+    # that a rejected run leaves no output
+    for path in filter(None, (args.output, args.plot, args.report)):
+        if not path.parent.is_dir():
             raise ValueError(f"no such directory: {path.parent}")
+        if path.is_dir():
+            raise ValueError(f"is a directory: {path}")
     metrics_noisy = metrics_restored = None
     if args.clean is not None:
         clean = read(args.clean)

@@ -148,8 +148,8 @@ class RunTrace:
     lambda_history[k] the lam of that check: the fixed lam, or in adaptive
     mode _LAMBDA_INIT at k = 0 and the estimate from u_k after that (the
     correction steps then take a lam of their own, which is not recorded).
-    dt_used is the explicit Euler step at the last lam, and None for the
-    paths that take no time step (lagged diffusivity, primal-dual Newton).
+    dt_used is the dt of an explicit Euler run, and None for the paths that
+    take no time step (lagged diffusivity, primal-dual Newton).
     """
 
     iters_run: int
@@ -175,7 +175,8 @@ class RunTrace:
 def _stationary_ok(stat_norm: float, lam: float, fid_dist: float, tol: float,
                    norm_u0: float) -> bool:
     # converged runs certify the stationary equation; an anchor at round-off
-    # scale (exact equilibria, lam = 0) falls back to an absolute bound
+    # scale (exact equilibria, adaptive lam estimates near 0) falls back to
+    # an absolute bound
     anchor = lam * fid_dist
     if anchor > 1e-13 * max(norm_u0, 1.0):
         return stat_norm <= 10.0 * tol * anchor
@@ -270,9 +271,11 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     it stops unconverged after max_iters corrections (see RunTrace for what
     is recorded).
 
-    With target_delta None lam is fixed.  Otherwise lam follows Morozov's
-    discrepancy principle, ||u - u0|| = delta: the first check takes
-    _LAMBDA_INIT and every later one the estimate of the iterate it checks
+    With target_delta None lam is fixed, and must be > 0 for both methods:
+    at lam = 0 nothing pulls u toward the data, so a ValueError is raised
+    before the first check.  Otherwise lam follows Morozov's discrepancy
+    principle, ||u - u0|| = delta: the first check takes _LAMBDA_INIT and
+    every later one the estimate of the iterate it checks
     (_lambda_estimate, from the equilibrium identity).  The stop rule and
     the trace see that estimate, and certifying the stationary equation at
     it forces ||u - u0|| = delta.  A correction runs at its own lam from
@@ -288,6 +291,9 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     and explicit steps ignore it.
     """
     adaptive = target_delta is not None
+    if not adaptive and not lam > 0:
+        raise ValueError(f"lam must be > 0 without a noise target (the "
+                         f"fidelity weight must be positive), got {lam}")
     norm_u0 = float(np.linalg.norm(u0v))
     rows = []
     t0 = time.perf_counter()

@@ -9,11 +9,11 @@ Both dimensions take their pair of Laplacians from one place (_laplacians),
 and one evaluator (_evaluator) forms the diffusion term D(u) = L_D F(L_N u)
 from them, for the loop, the right-hand sides and adaptive_lambda.  The
 loop is core._iterate, which the TV baseline runs too: it forms the
-stationary residual r = -D(u) - lambda (u - u0) from D(u).  _evolve hands
-it D(u) and the correction step, which it alone chooses.  A fixed time
-step, or lambda = 0 without a noise target, takes explicit Euler steps
-u <- u + dt r (_explicit).  Otherwise the equilibrium is reached without
-time stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
+stationary residual r = -D(u) - lambda (u - u0) from D(u), and rejects a
+fixed lambda <= 0.  _evolve hands it D(u) and the correction step, which it
+alone chooses.  A fixed time step dt takes explicit Euler steps
+u <- u + dt r.  Otherwise the equilibrium is reached without time
+stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
 "Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
 (1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
 step freezes g at w = L_N u and takes u <- u + A^-1 r with
@@ -45,8 +45,9 @@ Eisenstat & Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 19
 costs one flux evaluation.  fig2 takes 9-10 outer steps and fig3 6-9
 (seeds 11 and 42).  At p = 0.5 F' > 0, so the equation is monotone; for
 p > 0.5 F' < 0 wherever w^2 > epsilon/(2p - 1), and the rule failed to
-converge on some inputs or reached other states, so there, at lambda = 0
-(where A is singular) and in 2D every step is the lagged one.
+converge on some inputs or reached other states, so there, at a lambda
+estimate of 0 (where A is singular) and in 2D every step is the lagged
+one.
 
 When the noise norm delta is known (target_delta), core._iterate chooses
 lambda by the discrepancy principle, ||u - u0|| = delta; adaptive_lambda is
@@ -74,7 +75,6 @@ from .grid_ops import (
     solve_banded,
 )
 
-_SAFETY = 0.9
 # the largest target_delta whose square (core._lambda_estimate) is finite
 _DELTA_MAX = float(np.sqrt(np.finfo(float).max))
 _GMRES_VECTORS = 50  # 2D inner solve: Krylov vectors of its one GMRES cycle
@@ -94,17 +94,17 @@ class FilterParams:
 
     lam is the fidelity weight; when target_delta (the known noise norm, in
     the plain sample 2-norm) is set it takes over: core._iterate chooses
-    lam by the discrepancy principle, ||u - u0|| = target_delta.  In 1D and
-    2D alike, dt=None with lam > 0 or target_delta set selects lagged
-    diffusivity (see the module docstring), and a fixed dt, or lam = 0
-    without target_delta, takes explicit Euler steps of that size (a safe
-    fraction of stable_step_bound when dt is None, smaller in 2D than in 1D;
-    see _explicit).  Every path converges once the stationary residual r
+    lam by the discrepancy principle, ||u - u0|| = target_delta.  lam = 0
+    is a valid parameter set for evaluating rhs_1d/rhs_2d, but the
+    denoisers need lam > 0 or target_delta.  In 1D and 2D alike, dt=None
+    selects lagged diffusivity (see the module docstring), and a fixed dt
+    takes explicit Euler steps of that size; stable_step_bound bounds a
+    stable one.  Every path converges once the stationary residual r
     satisfies ||r|| <= 10 tol lam ||u - u0||, as for the TV baseline, and
     max_iters caps the corrections.  solver is accepted for compatibility
-    and has no effect: dt, lam and target_delta choose the path.  All float
-    knobs must be finite, and target_delta at most sqrt(float max), about
-    1.34e154, so that its square is finite.
+    and has no effect: dt alone chooses the path.  All float knobs must be
+    finite, and target_delta at most sqrt(float max), about 1.34e154, so
+    that its square is finite.
 
     For p > 1/2 the flux is not monotone (F' < 0 wherever
     w^2 > epsilon/(2p - 1)), so the stationary equation can have several
@@ -221,8 +221,8 @@ def denoise_1d(u0: Signal1D, params: FilterParams) -> tuple[Signal1D, RunTrace]:
     """Find the equilibrium of the filter equation for the data u0.
 
     The path follows the rule of the module docstring: lagged diffusivity,
-    or explicit Euler time steps for a fixed dt or lam = 0 without
-    target_delta.  Runs are deterministic; see RunTrace for the trace.
+    or explicit Euler time steps for a fixed dt.  Runs are deterministic;
+    see RunTrace for the trace.
     """
     if len(u0) < 3:
         raise ValueError(f"need at least 3 samples, got {len(u0)}")
@@ -250,76 +250,57 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     """core._iterate from u to the equilibrium of the data u0v, in either
     dimension: the one place that chooses the correction step.
 
-    dt unset with lam > 0 or target_delta set takes the lagged step, with
-    the Newton step tried first in 1D at p = 0.5 (see the module
-    docstring); everything else takes explicit Euler steps (_explicit).
-    The loop gets the diffusion term from _evaluator, and step(frozen, lam,
-    r, eta) returns the correction at the lam and residual r it is handed.
-    solve(g, lam, r, eta) returns (an approximation of) A^-1 r for the
-    frozen matrix A = outer diag(g) inner + lam I: banded LU in 1D, exact
-    whatever eta asks, and _lagged_2d in 2D, to the relative residual eta.
-    The lagged step takes g = (w^2 + epsilon)^-p, so that F(w) = g w.  At
-    lam = 0 A is singular (L_N annihilates constants), so a fixed lam = 0
-    has no lagged step, and a lam estimate of 0 solves with _LAMBDA_INIT in
-    its place, in both dimensions.  The Newton step takes g = F'(w), so
-    that A is minus the Jacobian of r, and only at lam > 0.  Its delta is a
-    trial, kept when the residual at u + delta is at most half of r, and
-    the kept trial's (D, w) serves the next check: core._iterate forms that
-    iterate as u + delta too.
+    A fixed dt takes explicit Euler steps u <- u + dt r on _evaluator's
+    diffusion term, and dt_used is that dt.  dt unset takes the lagged
+    step, with the Newton step tried first in 1D at p = 0.5 (see the module
+    docstring).  step(frozen, lam, r, eta) returns the correction at the
+    lam and residual r it is handed.  solve(g, lam, r, eta) returns (an
+    approximation of) A^-1 r for the frozen matrix
+    A = outer diag(g) inner + lam I: banded LU in 1D, exact whatever eta
+    asks, and _lagged_2d in 2D, to the relative residual eta.  The lagged
+    step takes g = (w^2 + epsilon)^-p, so that F(w) = g w.  At lam = 0 A is
+    singular (L_N annihilates constants); core._iterate rejects a fixed
+    lam = 0, and a lam estimate of 0 solves with _LAMBDA_INIT in its place,
+    in both dimensions.  The Newton step takes g = F'(w), so that A is minus
+    the Jacobian of r, and only at lam > 0.  Its delta is a trial, kept
+    when the residual at u + delta is at most half of r, and the kept
+    trial's (D, w) serves the next check: core._iterate forms that iterate
+    as u + delta too.
     """
-    if params.dt is not None or (params.target_delta is None and params.lam == 0):
-        return _explicit(u0v, u, h, params)
     eps, p = params.epsilon, params.p
     evaluate = _evaluator(u.shape, h, params)
-    solve = (_lagged_2d(u.shape, h) if u.ndim == 2 else
-             lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r))
-    newton = u.ndim == 1 and p == 0.5
-    kept = None  # a kept trial's (D, w), for the check at u + delta
+    if params.dt is not None:
+        diffusion, step = evaluate, lambda w, lam, r, eta: params.dt * r
+    else:
+        solve = (_lagged_2d(u.shape, h) if u.ndim == 2 else
+                 lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r))
+        newton = u.ndim == 1 and p == 0.5
+        kept = None  # a kept trial's (D, w), for the check at u + delta
 
-    def diffusion(u):
-        nonlocal kept
-        (d, w), kept = kept or evaluate(u), None
-        return d, (u, w)
+        def diffusion(u):
+            nonlocal kept
+            (d, w), kept = kept or evaluate(u), None
+            return d, (u, w)
 
-    def step(frozen, lam, r, eta):
-        nonlocal kept
-        u, w = frozen
-        if newton and lam > 0:
-            delta = solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
-            trial = u + delta
-            d, w_trial = evaluate(trial)
-            if np.linalg.norm(-d - lam * (trial - u0v)) \
-                    <= 0.5 * np.linalg.norm(r):
-                kept = d, w_trial
-                return delta
-        # a zero lam estimate would leave the constant mode without a pivot;
-        # the initial weight then stands in
-        return solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
-                     r, eta)
-
-    return _iterate(u0v, u, params.tol, params.max_iters, params.lam,
-                    params.target_delta, diffusion, step)
-
-
-def _explicit(u0v: np.ndarray, u: np.ndarray, h: float,
-              params: FilterParams) -> tuple[np.ndarray, RunTrace]:
-    """Explicit Euler time steps u <- u + dt r from u to the equilibrium of
-    the data u0v, on _evaluator's diffusion term.
-
-    The step is params.dt, or else a safety factor times stable_step_bound
-    at the current lam: _SAFETY in 1D, and a quarter of it in 2D, where the
-    five-point operators have twice the 1D norm.  dt_used is the step at the
-    last recorded lam.
-    """
-    safety = _SAFETY / 4 ** (u.ndim - 1)
-
-    def dt(lam):
-        return params.dt or safety * stable_step_bound(h, params.epsilon, params.p, lam)
+        def step(frozen, lam, r, eta):
+            nonlocal kept
+            u, w = frozen
+            if newton and lam > 0:
+                delta = solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
+                trial = u + delta
+                d, w_trial = evaluate(trial)
+                if np.linalg.norm(-d - lam * (trial - u0v)) \
+                        <= 0.5 * np.linalg.norm(r):
+                    kept = d, w_trial
+                    return delta
+            # a zero lam estimate would leave the constant mode without a
+            # pivot; the initial weight then stands in
+            return solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
+                         r, eta)
 
     u, trace = _iterate(u0v, u, params.tol, params.max_iters, params.lam,
-                        params.target_delta, _evaluator(u.shape, h, params),
-                        lambda w, lam, r, eta: dt(lam) * r)
-    return u, replace(trace, dt_used=float(dt(trace.lambda_history[-1])))
+                        params.target_delta, diffusion, step)
+    return u, replace(trace, dt_used=params.dt)
 
 
 def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:

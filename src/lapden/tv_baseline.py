@@ -38,10 +38,10 @@ solve converges once ||r|| <= 10 tol lam ||u - u0||, whatever the steps
 did.
 
 The iteration is core._iterate, the loop every solver in lapden runs, at
-the fixed lam of TvParams.  This module supplies the primal-dual step and
-the diffusion term D(u) = -div(grad u / |grad u|_beta), formed in one place
-(_tv_diffusion) for the loop and for tv_rhs_1d/tv_rhs_2d; core._iterate
-forms r from it.
+the fixed lam of TvParams, which must be > 0.  This module supplies the
+primal-dual step and the diffusion term D(u) = -div(grad u / |grad u|_beta),
+formed in one place (_tv_diffusion) for the loop and for
+tv_rhs_1d/tv_rhs_2d; core._iterate forms r from it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class TvParams:
     iteration cap, and the stationarity tolerance of the stop rule.
 
     lam = 0 is a valid parameter set for evaluating tv_rhs_1d/tv_rhs_2d, but
-    the denoisers need lam > 0.  All float knobs must be finite.
+    the denoisers need lam > 0, which core._iterate checks, as it does for
+    the nonlinear filter.  All float knobs must be finite.
     """
 
     lam: float = 1.0
@@ -218,10 +219,6 @@ def _dual_update(duals, steps) -> list:
 def _tv_evolve(values0: np.ndarray, h: float,
                params: TvParams) -> tuple[np.ndarray, RunTrace]:
     """Primal-dual Newton iteration from values0 to the TV equilibrium."""
-    lam = params.lam
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0 for TV denoising (the fidelity "
-                         f"weight must be positive), got {lam}")
     duals = None  # the dual flux w of every face, one array per axis
 
     def solve(faces, lam, r, eta):
@@ -242,7 +239,8 @@ def _tv_evolve(values0: np.ndarray, h: float,
         return du
 
     return _iterate(values0, values0.copy(), params.tol, params.max_iters,
-                    lam, None, lambda u: _tv_diffusion(u, h, params.beta), solve)
+                    params.lam, None, lambda u: _tv_diffusion(u, h, params.beta),
+                    solve)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

@@ -43,12 +43,12 @@ def sine_files(tmp_path):
 
 class TestDenoise1D:
     def test_constant_input_round_trips(self, constant_csv, tmp_path):
-        # --lambda 0 takes explicit Euler steps
+        # --dt takes explicit Euler steps
         out = tmp_path / "out.csv"
         report = tmp_path / "report.jsonl"
         code = main(["denoise1d", "--input", str(constant_csv),
                      "--output", str(out), "--report", str(report),
-                     "--lambda", "0"])
+                     "--dt", "0.01"])
         assert code == 0
         assert np.array_equal(read_csv_1d(out).values,
                               read_csv_1d(constant_csv).values)
@@ -119,6 +119,19 @@ class TestDenoise1D:
         assert not out.exists() and not plot.exists() and not report.exists()
         if clean == "report-dir":
             assert "no such directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["denoise1d", "tv1d"])
+    @pytest.mark.parametrize("flag", ["--plot", "--report"])
+    def test_output_path_naming_a_directory_leaves_no_output(
+            self, sine_files, tmp_path, command, flag, capsys):
+        _, noisy_path = sine_files
+        out, taken = tmp_path / "out.csv", tmp_path / "taken"
+        taken.mkdir()
+        code = main([command, "--input", str(noisy_path), "--output", str(out),
+                     flag, str(taken)])
+        assert code == 2
+        assert not out.exists()
+        assert f"is a directory: {taken}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--lambda", "nan"],
                                        ["--delta", "inf"], ["--tol", "nan"],
@@ -237,7 +250,7 @@ class TestDenoise2D:
         assert code == 2
 
     def test_semi_implicit_choice_rejected(self, tmp_path):
-        # there is no --solver flag: --dt and --lambda choose the path
+        # there is no --solver flag: --dt alone chooses the path
         src = tmp_path / "grey.pgm"
         write_pgm(src, Field2D(np.full((8, 8), 0.5)))
         code = main(["denoise2d", "--input", str(src),
@@ -246,9 +259,10 @@ class TestDenoise2D:
 
     @pytest.mark.parametrize("flags, lagged", [
         ([], True), (["--delta", "0.1"], True), (["--dt", "auto"], True),
-        (["--lambda", "0"], False), (["--dt", "0.01"], False)])
+        (["--lambda", "2", "--dt", "0.01"], False), (["--dt", "0.01"], False)])
     def test_lagged_unless_zero_lambda_or_fixed_step(self, tmp_path, flags,
                                                      lagged):
+        # --lambda 0 is rejected (test_zero_lambda_rejected_writes_nothing)
         src = tmp_path / "grey.pgm"
         write_pgm(src, Field2D(np.full((8, 8), 0.5)))
         report = tmp_path / "report.jsonl"
@@ -324,6 +338,24 @@ def test_command_writes_what_the_library_returns(sine_files, tmp_path, command):
     summary = json.loads(report.read_text())["trace_summary"]
     assert summary["iters"] == trace.iters_run
     assert summary["converged"] == trace.converged
+
+
+@pytest.mark.parametrize("args", [
+    "denoise1d", "denoise1d --dt 0.01", "denoise2d", "denoise2d --dt 0.01",
+    "tv1d", "tv2d"])
+def test_zero_lambda_rejected_writes_nothing(sine_files, tmp_path, args, capsys):
+    # at lambda = 0 nothing pulls the result toward the data
+    command, *dt = args.split()
+    if command.endswith("1d"):
+        src, out = sine_files[1], tmp_path / "out.csv"
+    else:
+        src, out = tmp_path / "noisy.pgm", tmp_path / "out.pgm"
+        write_pgm(src, Field2D(np.full((8, 8), 0.5)))
+    code = main([command, "--input", str(src), "--output", str(out),
+                 "--lambda", "0"] + dt)
+    assert code == 2
+    assert not out.exists()
+    assert "fidelity weight must be positive" in capsys.readouterr().err
 
 
 class TestExperiment:

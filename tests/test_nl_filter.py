@@ -175,9 +175,9 @@ class TestStableStepBound:
     def test_no_blow_up_over_1e4_steps(self):
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
-        params = FilterParams(lam=1.0, max_iters=10_000, tol=1e-300)
-        _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
-                                       noisy.h, params)
+        dt = 0.9 * stable_step_bound(noisy.h, 1e-2, 0.5, 1.0)
+        params = FilterParams(lam=1.0, dt=dt, max_iters=10_000, tol=1e-300)
+        _, trace = denoise_1d(noisy, params)
         r = trace.residual_history
         ratios = r[1:] / np.maximum(r[:-1], 1e-300)
         assert ratios.max() <= 10.0
@@ -257,11 +257,12 @@ class TestDenoise1D:
         raw = gaussian_noise(51, NoiseSpec(seed=3, delta_rel=0))
         u0 = Signal1D(np.convolve(raw, np.ones(7) / 7, mode="same"))
         params = FilterParams(lam=0.5, tol=1e-8, max_iters=500_000)
-        ue, te = nl_filter._explicit(u0.values, u0.values.copy(), u0.h, params)
+        dt = 0.9 * stable_step_bound(u0.h, params.epsilon, params.p, params.lam)
+        ue, te = denoise_1d(u0, replace(params, dt=dt))
         ul, tl = denoise_1d(u0, params)
         assert te.converged and tl.converged
-        assert te.dt_used is not None and tl.dt_used is None
-        rel = np.linalg.norm(ue - ul.values) / np.linalg.norm(ue)
+        assert te.dt_used == dt and tl.dt_used is None
+        rel = np.linalg.norm(ue.values - ul.values) / np.linalg.norm(ue.values)
         assert rel <= 1e-3
 
     def test_divergence_names_iteration(self):
@@ -315,8 +316,8 @@ class TestDenoise1D:
             _, trace = denoise_2d(noisy, replace(NLAP_2D, target_delta=delta))
             assert len(calls) == trace.iters_run > 2
         elif path == "explicit":
-            _, trace = nl_filter._explicit(noisy.values, noisy.values.copy(),
-                                           noisy.h, params)
+            dt = 0.9 * stable_step_bound(1.0, 1e-2, 0.5, 10.0)
+            _, trace = denoise_1d(noisy, replace(params, dt=dt))
             assert len(calls) == trace.iters_run
         else:
             _, trace = denoise_1d(noisy, params)
@@ -396,12 +397,14 @@ class TestLagged2D:
     def test_agrees_with_explicit_equilibrium(self, lam):
         _, noisy, _ = noisy_f2d(32, seed=3)
         params = FilterParams(lam=lam)
-        ue, te = nl_filter._explicit(noisy.values, noisy.values.copy(),
-                                     noisy.h, params)
+        # a quarter of the 1D safe step: the five-point operators have twice
+        # the 1D norm
+        dt = 0.9 / 4 * stable_step_bound(noisy.h, params.epsilon, params.p, lam)
+        ue, te = denoise_2d(noisy, replace(params, dt=dt))
         ul, tl = denoise_2d(noisy, params)
         assert te.converged and tl.converged
-        assert te.dt_used is not None and tl.dt_used is None
-        assert np.abs(ul.values - ue).max() <= 1e-5
+        assert te.dt_used == dt and tl.dt_used is None
+        assert np.abs(ul.values - ue.values).max() <= 1e-5
 
     def test_fig5_converges_in_few_outer_steps(self):
         clean, noisy, delta = noisy_f2d(64, seed=42)
@@ -443,15 +446,24 @@ class TestLagged2D:
             <= np.abs(noisy.values).max()
         assert np.all(np.diff(trace.residual_history) < 0.0)
 
-    @pytest.mark.parametrize("knobs", [dict(lam=0.0), dict(dt=1e-3)])
-    def test_zero_lambda_or_fixed_step_stays_explicit(self, knobs):
-        # lam = 0 leaves the lagged system singular; dt asks for time steps
+    def test_fixed_step_takes_explicit_steps(self):
+        # a dt asks for time steps u <- u + dt r, bit for bit
         f = Field2D(np.eye(5))
-        params = FilterParams(max_iters=3, tol=1e-300, **knobs)
+        params = FilterParams(dt=1e-3, max_iters=3, tol=1e-300)
         restored, trace = denoise_2d(f, params)
-        expect, _ = nl_filter._explicit(f.values, f.values.copy(), f.h, params)
-        assert np.array_equal(restored.values, expect)
-        assert trace.dt_used is not None
+        expect = f
+        for _ in range(3):
+            expect = expect.with_values(
+                expect.values + params.dt * rhs_2d(expect, f, params).values)
+        assert np.array_equal(restored.values, expect.values)
+        assert trace.dt_used == params.dt
+
+    @pytest.mark.parametrize("dt", [None, 1e-3], ids=["dt-unset", "dt-set"])
+    def test_zero_lambda_rejected(self, dt):
+        # at lam = 0 nothing pulls u toward the data
+        params = FilterParams(lam=0.0, dt=dt)
+        with pytest.raises(ValueError, match="lam.*fidelity weight must be positive"):
+            denoise_2d(Field2D(np.eye(5)), params)
 
 
 class TestLagged1D:
@@ -543,15 +555,25 @@ class TestLagged1D:
             <= np.abs(noisy.values).max()
         assert np.all(np.diff(trace.residual_history) < 0.0)
 
-    @pytest.mark.parametrize("knobs", [dict(lam=0.0), dict(dt=1e-3)])
-    def test_zero_lambda_or_fixed_step_stays_explicit(self, knobs):
+    def test_fixed_step_takes_explicit_steps(self):
+        # a dt asks for time steps u <- u + dt r, bit for bit
         u0 = noise_signal(12, seed=17)
-        params = FilterParams(max_iters=3, tol=1e-300, **knobs)
+        params = FilterParams(dt=1e-3, max_iters=3, tol=1e-300)
         restored, trace = denoise_1d(u0, params)
-        expect, _ = nl_filter._explicit(u0.values, u0.values.copy(), u0.h,
-                                        params)
-        assert np.array_equal(restored.values, expect)
-        assert trace.dt_used is not None
+        expect = u0
+        for _ in range(3):
+            expect = expect.with_values(
+                expect.values + params.dt * rhs_1d(expect, u0, params))
+        assert np.array_equal(restored.values, expect.values)
+        assert trace.dt_used == params.dt
+
+    @pytest.mark.parametrize("dt", [None, 1e-3], ids=["dt-unset", "dt-set"])
+    def test_zero_lambda_rejected(self, dt):
+        # at lam = 0 nothing pulls u toward the data, and the equilibrium
+        # of the filter equation is a constant
+        params = FilterParams(lam=0.0, dt=dt)
+        with pytest.raises(ValueError, match="lam.*fidelity weight must be positive"):
+            denoise_1d(noise_signal(12, seed=17), params)
 
 
 class TestLaggedHistory:
