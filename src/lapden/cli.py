@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parameter or input error, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -67,7 +68,10 @@ DENOISE_COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then shared:
+    parsing leaves no state in it, so main may be called repeatedly."""
     parser = argparse.ArgumentParser(
         prog="lapden",
         description="Nonlinear Laplacian denoising with a TV baseline.",

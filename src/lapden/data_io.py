@@ -33,7 +33,7 @@ def write_csv_1d(path, s: Signal1D) -> None:
     """One decimal literal per line; the leading comment records the grid."""
     a, b = s.domain
     lines = [f"# h={float(s.h)!r} a={float(a)!r} b={float(b)!r}"]
-    lines.extend(repr(float(v)) for v in s.values)
+    lines.extend(map(repr, s.values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -43,10 +43,18 @@ def read_csv_1d(path) -> Signal1D:
     grid = None
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
+        # float() ignores surrounding whitespace itself, so a line is
+        # stripped and classified only when it is not a number
+        try:
+            value = float(line)
+        except ValueError as err:
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if not stripped.startswith("#"):
+                raise CsvParseError(
+                    f"line {lineno}: not a decimal literal: {stripped!r}"
+                ) from err
             if grid is None:
                 match = _HEADER_RE.match(stripped)
                 if match:
@@ -61,14 +69,10 @@ def read_csv_1d(path) -> Signal1D:
                             f"line {lineno}: bad grid header {stripped!r}"
                         ) from err
             continue
-        try:
-            value = float(stripped)
-        except ValueError as err:
-            raise CsvParseError(
-                f"line {lineno}: not a decimal literal: {stripped!r}"
-            ) from err
         if not math.isfinite(value):
-            raise CsvParseError(f"line {lineno}: non-finite sample {stripped!r}")
+            raise CsvParseError(
+                f"line {lineno}: non-finite sample {line.strip()!r}"
+            )
         values.append(value)
     if not values:
         raise EmptyInputError(f"{path}: no data lines")
@@ -154,8 +158,8 @@ def write_pgm(path, f: Field2D) -> None:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """A line chart: equal-length series drawn as polylines over a shared
-    autoscaled y-range."""
+    """A line chart: equal-length finite series drawn as polylines over a
+    shared autoscaled y-range."""
 
     width_px: int
     height_px: int
@@ -175,6 +179,11 @@ class PlotSpec:
                 length = values.size
             if values.size != length or length < 2:
                 raise ValueError("all series need the same length >= 2")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(
+                    f"series {label!r}: non-finite value at index {bad[0]}"
+                )
             clean.append((label, color, values))
         object.__setattr__(self, "series", tuple(clean))
 
@@ -189,11 +198,9 @@ def write_svg_plot(path, spec: PlotSpec) -> None:
     if ymax == ymin:
         ymin, ymax = ymin - 0.5, ymax + 0.5
 
-    def sx(i: int) -> float:
-        return mx + (w - 2 * mx) * i / (n - 1)
-
-    def sy(v: float) -> float:
-        return h - my - (h - 2 * my) * (v - ymin) / (ymax - ymin)
+    # x and y are formed on whole arrays by the per-point operations in the
+    # same order, so every coordinate keeps its float64 bits
+    xs = (mx + (w - 2 * mx) * np.arange(n) / (n - 1)).tolist()
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -207,7 +214,8 @@ def write_svg_plot(path, spec: PlotSpec) -> None:
             f'font-family="sans-serif" font-size="14">{_escape(spec.title)}</text>\n'
         )
     for idx, (label, color, values) in enumerate(spec.series):
-        points = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(values))
+        ys = h - my - (h - 2 * my) * (values - ymin) / (ymax - ymin)
+        points = " ".join(map("{:.2f},{:.2f}".format, xs, ys.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" '
             f'points="{points}"/>\n'

@@ -20,7 +20,7 @@ from lapden import (
     write_csv_1d,
     write_pgm,
 )
-from lapden.cli import main
+from lapden.cli import build_parser, main
 
 
 @pytest.fixture
@@ -421,3 +421,50 @@ class TestExperiment:
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+class TestRepeatedMain:
+    """main builds its parser on the first call and shares it after."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_later_call_keeps_no_earlier_flag(self, sine_files, tmp_path):
+        noisy = str(sine_files[1])
+        assert main(["denoise1d", "--input", noisy, "--lambda", "2",
+                     "--output", str(tmp_path / "a.csv"),
+                     "--report", str(tmp_path / "a.jsonl")]) == 0
+        before = set(tmp_path.iterdir())
+        report = tmp_path / "b.jsonl"
+        assert main(["denoise1d", "--input", noisy, "--delta", "1.29",
+                     "--report", str(report)]) == 0
+        row = json.loads(report.read_text())
+        assert row["params"]["lam"] == 1.0
+        assert row["params"]["target_delta"] == 1.29
+        assert row["artifact_paths"] == []
+        assert set(tmp_path.iterdir()) == before | {report}
+
+    def test_usage_error_between_calls_changes_nothing(self, sine_files,
+                                                       tmp_path):
+        def run(name):
+            out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            assert main(["denoise1d", "--input", str(sine_files[1]),
+                         "--p", "0.75", "--output", str(out),
+                         "--report", str(report)]) == 0
+            row = json.loads(report.read_text())
+            del row["trace_summary"]["wall_seconds"], row["artifact_paths"]
+            return out.read_bytes(), row
+
+        first = run("first")
+        assert main(["denoise1d", "--input", str(sine_files[1]),
+                     "--lambda", "1", "--delta", "1"]) == 2
+        assert run("second") == first
+
+    def test_experiment_after_denoise(self, constant_csv, tmp_path):
+        assert main(["denoise1d", "--input", str(constant_csv),
+                     "--output", str(tmp_path / "out.csv")]) == 0
+        assert main(["experiment", "fig1", "--seed", "7",
+                     "--outdir", str(tmp_path)]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "fig1_report_7.jsonl").read_text().splitlines()]
+        assert {row["method"] for row in rows} == {"f", "g"}

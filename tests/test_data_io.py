@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,29 @@ class TestCsv:
         path = tmp_path / "c.csv"
         path.write_text("# a note\n0.5\n# another\n1.5\n")
         assert np.array_equal(read_csv_1d(path).values, np.array([0.5, 1.5]))
+
+    def test_first_bad_line_is_cited_past_blank_and_comment(self, tmp_path):
+        # a header, a blank line and a comment come before the line at fault
+        path = tmp_path / "mixed.csv"
+        lines = ["# h=1.0 a=-1.0 b=6.0", "1.5", "", "# a note", " 2.5 ",
+                 "4..0", "3.5", "  inf "]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvParseError) as info:
+            read_csv_1d(path)
+        assert str(info.value) == "line 6: not a decimal literal: '4..0'"
+        lines[5] = "3.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvParseError) as info:
+            read_csv_1d(path)
+        assert str(info.value) == "line 8: non-finite sample 'inf'"
+
+    def test_padded_literals_parse_as_stripped(self, tmp_path):
+        literals = ["  1.5", "-0.0 ", "\t-3e-2\t", " +4 ", "5_0.25",
+                    "\u00a06.1\u2003", "1e308  ", "  0.1"]
+        path = tmp_path / "padded.csv"
+        path.write_text("\n".join(literals) + "\n", encoding="utf-8")
+        assert ([repr(v) for v in read_csv_1d(path).values.tolist()]
+                == [repr(float(x.strip())) for x in literals])
 
 
 class TestPgm:
@@ -176,3 +201,67 @@ class TestSvg:
         with pytest.raises(ValueError):
             PlotSpec(100, 100, (("a", "#000000", np.ones(3)),
                                 ("b", "#000000", np.ones(4))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.array([0.0, 1.0, bad, 2.0, bad])
+        with pytest.raises(ValueError,
+                           match="series 'restored': non-finite value at index 2"):
+            PlotSpec(100, 100, (("noisy", "#000000", np.ones(5)),
+                                ("restored", "#000000", values)))
+
+
+_RNG43 = np.random.default_rng(43).normal(size=50)
+# on a 100 x 100 plot spanning [0, 90], x = 5 + 5.625 i and y = 95 - v, so
+# 10.625, 94.875, ... sit on a .xx5 rounding boundary; -0.0 is kept as such
+_ROUNDING = np.array([0.0, 90.0, 0.125, 0.375, 0.625, 0.875, -0.0, 1.005,
+                      2.675, 45.5, 12.345, 0.005, 0.015, 0.025, 89.995, 3.0,
+                      -0.0])
+
+
+def _svg(*args, **kwargs):
+    return lambda path: write_svg_plot(path, PlotSpec(*args, **kwargs))
+
+
+def _csv(*args, **kwargs):
+    return lambda path: write_csv_1d(path, Signal1D(*args, **kwargs))
+
+
+# sha256 of each writer's output on fixed inputs, recorded from the
+# per-sample writers; formatting whole arrays must keep every byte
+@pytest.mark.parametrize("write, digest", [
+    pytest.param(_svg(640, 420, (("a", "#d62728", _RNG43),
+                                 ("b", "#1f77b4", _RNG43 * 0.5)), title="t"),
+                 "8042461b243912857aa6b26ca41b43357ae75288493e7144f5651bed195319d5",
+                 id="svg-rng43"),
+    pytest.param(_svg(640, 420, (("a", "#d62728", np.array([0.0, 1.0])),)),
+                 "ec5a86599a82bb288534d874184fa060c60a2944ed7fd942a77c21105699fe9c",
+                 id="svg-two-samples"),
+    pytest.param(_svg(320, 200, (("c", "#000000", np.full(7, 2.5)),)),
+                 "9c12f1707b9a2e4d44000b5969c99ef84464341a0de8b0d8c5511f633a07b2f9",
+                 id="svg-constant"),
+    pytest.param(_svg(100, 100, (("r", "#000000", _ROUNDING),)),
+                 "cddc3db25db182dbbf39f3929b4cd597f4f5d138c546bf8bafb7afe4fa1080fb",
+                 id="svg-rounding"),
+    pytest.param(_svg(640, 420, (("x<y & z>w", "#000000", np.array([1.0, 2.0, 3.0])),),
+                      title="a & b <c> d"),
+                 "b2f4ef74447efea00f3abb581766c5441a0669acb48bd465afe4ff3e835c6240",
+                 id="svg-escaped-title"),
+    pytest.param(_csv(_RNG43),
+                 "564f50441d668977a29e5f284d76ddc7dd43cce49c09edb929e2e715e6ef54d3",
+                 id="csv-rng43"),
+    pytest.param(_csv(np.array([0.0, 1.0]), h=0.5, domain=(-0.5, 1.0)),
+                 "d10ef205569bfe0da4ab3ee483a0dc205ad1379187d7d047b2e7e56d772d0a09",
+                 id="csv-two-samples"),
+    pytest.param(_csv(np.full(7, 2.5)),
+                 "c38fcb50ff60c0760ba532b01e5ab105151d6e33469cd60d729227e7818d4870",
+                 id="csv-constant"),
+    pytest.param(_csv(np.array([0.125, -0.0, 0.375, 1.005, 2.675, 0.1 + 0.2,
+                                1e-300, 1e22])),
+                 "c3fd4e39c458f632eddb3c44f45cc728e3e93fa08a886493d472355696f6bf90",
+                 id="csv-rounding"),
+])
+def test_writer_bytes_are_pinned(tmp_path, write, digest):
+    path = tmp_path / "out"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
