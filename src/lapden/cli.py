@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 parameter or input error, 3 divergence.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -68,10 +67,12 @@ DENOISE_COMMANDS = (
 )
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and then shared:
-    parsing leaves no state in it, so main may be called repeatedly."""
+COMMANDS = tuple(name for name, _ in DENOISE_COMMANDS) + ("experiment",)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given one of COMMANDS, a parser that
+    holds only that command's subparser and parses its arguments alike."""
     parser = argparse.ArgumentParser(
         prog="lapden",
         description="Nonlinear Laplacian denoising with a TV baseline.",
@@ -79,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     for command, help_text in DENOISE_COMMANDS:
+        if only not in (None, command):
+            continue
         sub = subs.add_parser(command, help=help_text)
         _add_common_flags(sub, tv=command.startswith("tv"))
         if command == "denoise2d":
@@ -87,13 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
                                   "the input")
         sub.set_defaults(func=cmd_denoise)
 
-    ex = subs.add_parser("experiment", help="run a figure-reproduction experiment")
-    ex.add_argument("name", choices=EXPERIMENT_NAMES)
-    ex.add_argument("--seed", type=int, default=42)
-    ex.add_argument("--n", type=int, default=None,
-                    help="grid size (default 100 in 1D, 64 in 2D)")
-    ex.add_argument("--outdir", type=Path, default=Path("."))
-    ex.set_defaults(func=cmd_experiment)
+    if only in (None, "experiment"):
+        ex = subs.add_parser("experiment",
+                             help="run a figure-reproduction experiment")
+        ex.add_argument("name", choices=EXPERIMENT_NAMES)
+        ex.add_argument("--seed", type=int, default=42)
+        ex.add_argument("--n", type=int, default=None,
+                        help="grid size (default 100 in 1D, 64 in 2D)")
+        ex.add_argument("--outdir", type=Path, default=Path("."))
+        ex.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -208,10 +213,24 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building one subparser where it can.
+
+    The top level takes no option but -h, so a first argument that names a
+    command always selects that command's subparser; the others are not
+    built. Arguments that subparser does not recognise are parsed again by
+    the full parser, whose error message shows the full usage.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

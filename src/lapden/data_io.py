@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Field2D, Signal1D
+from .core import Field2D, Signal1D, _as_float_array
 
 
 class CsvParseError(ValueError):
@@ -43,18 +43,10 @@ def read_csv_1d(path) -> Signal1D:
     grid = None
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        # float() ignores surrounding whitespace itself, so a line is
-        # stripped and classified only when it is not a number
-        try:
-            value = float(line)
-        except ValueError as err:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if not stripped.startswith("#"):
-                raise CsvParseError(
-                    f"line {lineno}: not a decimal literal: {stripped!r}"
-                ) from err
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
             if grid is None:
                 match = _HEADER_RE.match(stripped)
                 if match:
@@ -69,10 +61,14 @@ def read_csv_1d(path) -> Signal1D:
                             f"line {lineno}: bad grid header {stripped!r}"
                         ) from err
             continue
-        if not math.isfinite(value):
+        try:
+            value = float(stripped)
+        except ValueError as err:
             raise CsvParseError(
-                f"line {lineno}: non-finite sample {line.strip()!r}"
-            )
+                f"line {lineno}: not a decimal literal: {stripped!r}"
+            ) from err
+        if not math.isfinite(value):
+            raise CsvParseError(f"line {lineno}: non-finite sample {stripped!r}")
         values.append(value)
     if not values:
         raise EmptyInputError(f"{path}: no data lines")
@@ -174,16 +170,14 @@ class PlotSpec:
         clean = []
         length = None
         for label, color, values in self.series:
-            values = np.asarray(values, dtype=float)
+            try:
+                values = _as_float_array(values, 1)
+            except ValueError as err:
+                raise ValueError(f"series {label!r}: {err}") from err
             if length is None:
                 length = values.size
             if values.size != length or length < 2:
                 raise ValueError("all series need the same length >= 2")
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(
-                    f"series {label!r}: non-finite value at index {bad[0]}"
-                )
             clean.append((label, color, values))
         object.__setattr__(self, "series", tuple(clean))
 

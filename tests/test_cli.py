@@ -20,6 +20,7 @@ from lapden import (
     write_csv_1d,
     write_pgm,
 )
+import lapden.cli
 from lapden.cli import build_parser, main
 
 
@@ -423,48 +424,45 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-class TestRepeatedMain:
-    """main builds its parser on the first call and shares it after."""
+# argument lists that end in help or a usage error; their first arguments
+# name a command, name none, or are absent
+_USAGE_ARGVS = [
+    [], ["-h"], ["bogus"], ["-h", "denoise1d"],
+    ["denoise1d", "-h"], ["denoise2d", "--help"], ["tv1d", "-h"],
+    ["tv2d"], ["experiment", "-h"], ["experiment"], ["experiment", "fig9"],
+    ["denoise1d", "--input"],
+    ["denoise2d", "--input", "x.pgm", "--warm-start"],
+    ["denoise1d", "--input", "x.csv", "--lambda", "1", "--delta", "1"],
+    ["denoise1d", "--input", "x.csv", "--dt", "x"],
+    # arguments the command does not recognise
+    ["denoise1d", "--input", "x.csv", "--foo"],
+    ["tv1d", "--input", "x.csv", "extra"],
+    ["experiment", "fig1", "--bogus"],
+]
 
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
 
-    def test_later_call_keeps_no_earlier_flag(self, sine_files, tmp_path):
-        noisy = str(sine_files[1])
-        assert main(["denoise1d", "--input", noisy, "--lambda", "2",
-                     "--output", str(tmp_path / "a.csv"),
-                     "--report", str(tmp_path / "a.jsonl")]) == 0
-        before = set(tmp_path.iterdir())
-        report = tmp_path / "b.jsonl"
-        assert main(["denoise1d", "--input", noisy, "--delta", "1.29",
-                     "--report", str(report)]) == 0
-        row = json.loads(report.read_text())
-        assert row["params"]["lam"] == 1.0
-        assert row["params"]["target_delta"] == 1.29
-        assert row["artifact_paths"] == []
-        assert set(tmp_path.iterdir()) == before | {report}
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=" ".join)
+def test_prints_what_the_full_parser_prints(argv, columns, monkeypatch,
+                                            capsys):
+    # argparse wraps its usage to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert main(argv) == info.value.code
+    assert capsys.readouterr() == expected
 
-    def test_usage_error_between_calls_changes_nothing(self, sine_files,
-                                                       tmp_path):
-        def run(name):
-            out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
-            assert main(["denoise1d", "--input", str(sine_files[1]),
-                         "--p", "0.75", "--output", str(out),
-                         "--report", str(report)]) == 0
-            row = json.loads(report.read_text())
-            del row["trace_summary"]["wall_seconds"], row["artifact_paths"]
-            return out.read_bytes(), row
 
-        first = run("first")
-        assert main(["denoise1d", "--input", str(sine_files[1]),
-                     "--lambda", "1", "--delta", "1"]) == 2
-        assert run("second") == first
+def test_builds_only_the_named_subparser(constant_csv, tmp_path, monkeypatch):
+    built = []
 
-    def test_experiment_after_denoise(self, constant_csv, tmp_path):
-        assert main(["denoise1d", "--input", str(constant_csv),
-                     "--output", str(tmp_path / "out.csv")]) == 0
-        assert main(["experiment", "fig1", "--seed", "7",
-                     "--outdir", str(tmp_path)]) == 0
-        rows = [json.loads(line) for line in
-                (tmp_path / "fig1_report_7.jsonl").read_text().splitlines()]
-        assert {row["method"] for row in rows} == {"f", "g"}
+    def add_common_flags(sub, tv):
+        built.append(sub.prog)
+        return real(sub, tv)
+
+    real = lapden.cli._add_common_flags
+    monkeypatch.setattr(lapden.cli, "_add_common_flags", add_common_flags)
+    assert main(["tv1d", "--input", str(constant_csv),
+                 "--output", str(tmp_path / "out.csv")]) == 0
+    assert built == ["lapden tv1d"]

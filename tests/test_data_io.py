@@ -94,7 +94,7 @@ class TestCsv:
 
     def test_padded_literals_parse_as_stripped(self, tmp_path):
         literals = ["  1.5", "-0.0 ", "\t-3e-2\t", " +4 ", "5_0.25",
-                    "\u00a06.1\u2003", "1e308  ", "  0.1"]
+                    "\u00a06.1\u2003", "1e308  ", "  0.1", "1.5\x1f"]
         path = tmp_path / "padded.csv"
         path.write_text("\n".join(literals) + "\n", encoding="utf-8")
         assert ([repr(v) for v in read_csv_1d(path).values.tolist()]
@@ -206,7 +206,8 @@ class TestSvg:
     def test_non_finite_value_rejected(self, bad):
         values = np.array([0.0, 1.0, bad, 2.0, bad])
         with pytest.raises(ValueError,
-                           match="series 'restored': non-finite value at index 2"):
+                           match=f"series 'restored': samples must be finite, "
+                                 f"got {bad} at index 2"):
             PlotSpec(100, 100, (("noisy", "#000000", np.ones(5)),
                                 ("restored", "#000000", values)))
 
