@@ -322,34 +322,33 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
     m = _GMRES_VECTORS
     basis = np.empty((m + 1, b.size))
     basis[0] = b / beta
-    hess = np.zeros((m + 1, m))  # turned into R by the Givens rotations
-    rotations = np.zeros((m, 2))
-    rhs = np.zeros(m + 1)
-    rhs[0] = beta
+    hess = np.zeros((m, m))  # R: the Hessenberg columns after the rotations
+    rotations = []  # Givens pairs (c, s), in Python floats like col and rhs
+    rhs = [beta]
     size = 0
     for j in range(m):
         w = matvec(precond(basis[j]))
+        col = 0.0  # so that a -0.0 coefficient enters R as +0.0
         for _ in range(2):
             coef = basis[: j + 1] @ w
             w -= coef @ basis[: j + 1]
-            hess[: j + 1, j] += coef
+            col = col + coef
         h_next = float(np.linalg.norm(w))
-        col = hess[:, j]
-        for i in range(j):
-            c, s = rotations[i]
+        col = col.tolist()
+        for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         radius = float(np.hypot(col[j], h_next))
         if radius == 0.0:  # A P^-1 is singular on the Krylov space
             break
         c, s = col[j] / radius, h_next / radius
-        rotations[j] = c, s
+        rotations.append((c, s))
         col[j] = radius
-        rhs[j + 1] = -s * rhs[j]
-        rhs[j] *= c
+        hess[: j + 1, j] = col
+        rhs[j:] = c * rhs[j], -s * rhs[j]
         size = j + 1
         if abs(rhs[j + 1]) <= eta * beta or h_next == 0.0:
             break
-        basis[j + 1] = w / h_next
+        np.divide(w, h_next, out=basis[j + 1])
     y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
                                       check_finite=False)
     return precond(y @ basis[:size])
@@ -357,9 +356,11 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
 
 def _lagged_2d(shape: tuple[int, int], h: float):
     """The 2D inner solve: one cycle of preconditioned GMRES, to the relative
-    residual eta."""
+    residual eta.  A square field shares one D0 eigenbasis between its rows
+    and columns."""
     inner, outer = _laplacians(shape, h)
-    (mu, q_r), (nu, q_c) = (_d0_eigh(n, h) for n in shape)
+    eigh = {n: _d0_eigh(n, h) for n in set(shape)}
+    (mu, q_r), (nu, q_c) = (eigh[n] for n in shape)
     squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
 
     def solve(g, lam, r, eta):

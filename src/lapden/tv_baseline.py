@@ -206,11 +206,12 @@ def _pcg(matvec, diag: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
 def _dual_update(duals, steps) -> list:
     """w + s dw on every face, one (w, dw) pair per axis, with one step
     length s = min(1, 0.9 s_max) for all faces, where s_max is the longest
-    step that keeps |w| <= 1 on every face."""
+    step that keeps |w| <= 1 on every face.  A face with dw = 0 has room
+    1/0 = inf, so it does not limit the step."""
     s_max = np.inf
     for w, dw in zip(duals, steps):
-        moving = dw != 0
-        room = (1.0 - np.sign(dw[moving]) * w[moving]) / np.abs(dw[moving])
+        with np.errstate(divide="ignore"):
+            room = (1.0 - np.sign(dw) * w) / np.abs(dw)
         s_max = min(s_max, float(np.min(room, initial=np.inf)))
     s = min(1.0, 0.9 * s_max)
     return [w + s * dw for w, dw in zip(duals, steps)]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lapden.core as core
 import lapden.nl_filter as nl_filter
@@ -57,6 +58,47 @@ def lagged_iteration(u0: Signal1D, params: FilterParams, steps: int) -> np.ndarr
         g = (w * w + params.epsilon) ** -params.p
         u = u + solve_banded(build_lagged_1d(g, u0.h, params.lam), r)
     return u
+
+
+def reference_gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
+    """nl_filter._gmres with its Hessenberg matrix, Givens pairs and
+    right-hand side in numpy arrays: the bit-for-bit reference of its
+    Python-float bookkeeping."""
+    beta = float(np.linalg.norm(b))
+    m = nl_filter._GMRES_VECTORS
+    basis = np.empty((m + 1, b.size))
+    basis[0] = b / beta
+    hess = np.zeros((m + 1, m))
+    rotations = np.zeros((m, 2))
+    rhs = np.zeros(m + 1)
+    rhs[0] = beta
+    size = 0
+    for j in range(m):
+        w = matvec(precond(basis[j]))
+        for _ in range(2):
+            coef = basis[: j + 1] @ w
+            w -= coef @ basis[: j + 1]
+            hess[: j + 1, j] += coef
+        h_next = float(np.linalg.norm(w))
+        col = hess[:, j]
+        for i in range(j):
+            c, s = rotations[i]
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        radius = float(np.hypot(col[j], h_next))
+        if radius == 0.0:
+            break
+        c, s = col[j] / radius, h_next / radius
+        rotations[j] = c, s
+        col[j] = radius
+        rhs[j + 1] = -s * rhs[j]
+        rhs[j] *= c
+        size = j + 1
+        if abs(rhs[j + 1]) <= eta * beta or h_next == 0.0:
+            break
+        basis[j + 1] = w / h_next
+    y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
+                                      check_finite=False)
+    return precond(y @ basis[:size])
 
 
 def noise_signal(n: int, seed: int) -> Signal1D:
@@ -371,11 +413,12 @@ def noisy_f2d(n: int, seed: int) -> tuple[Field2D, Field2D, float]:
 
 class TestLagged2D:
     @staticmethod
-    def inner_solve_relative_residual(eta):
-        # ||A x - r|| / ||r|| after one GMRES cycle to eta on a non-square
-        # grid, A = L_D diag(g) L_N + lam I built from the dense oracles
+    def inner_solve_relative_residual(shape, eta):
+        # ||A x - r|| / ||r|| after one GMRES cycle to eta, A = L_D diag(g)
+        # L_N + lam I built from the dense oracles; a square grid shares one
+        # D0 eigenbasis between rows and columns
         rng = np.random.default_rng(21)
-        shape, h, lam = (6, 5), 0.5, 0.3
+        h, lam = 0.5, 0.3
         g = rng.uniform(0.05, 3.0, size=shape)
         r = rng.normal(size=shape)
         units = np.eye(g.size).reshape(g.size, *shape)
@@ -386,12 +429,14 @@ class TestLagged2D:
         assert x.shape == shape
         return np.linalg.norm(a @ x.ravel() - r.ravel()) / np.linalg.norm(r)
 
-    def test_inner_solve_reaches_its_tolerance(self):
-        assert self.inner_solve_relative_residual(1e-2) <= 1e-2
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
+    def test_inner_solve_reaches_its_tolerance(self, shape):
+        assert self.inner_solve_relative_residual(shape, 1e-2) <= 1e-2
 
-    def test_inner_solve_reaches_a_loose_tolerance(self):
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
+    def test_inner_solve_reaches_a_loose_tolerance(self, shape):
         # core._ETA_MAX, the cap of the forcing rule
-        assert self.inner_solve_relative_residual(0.3) <= 0.3
+        assert self.inner_solve_relative_residual(shape, 0.3) <= 0.3
 
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_agrees_with_explicit_equilibrium(self, lam):
@@ -464,6 +509,63 @@ class TestLagged2D:
         params = FilterParams(lam=0.0, dt=dt)
         with pytest.raises(ValueError, match="lam.*fidelity weight must be positive"):
             denoise_2d(Field2D(np.eye(5)), params)
+
+
+class TestGmres:
+    """nl_filter._gmres against reference_gmres, bit for bit.  Every matvec
+    and precond returns a fresh array: _gmres subtracts from what matvec
+    returns in place."""
+
+    @staticmethod
+    def random_system(seed: int, n: int = 80):
+        # a non-symmetric A and a diagonal P with a spread spectrum, so that
+        # a tight eta needs the whole cycle
+        rng = np.random.default_rng(seed)
+        a = np.eye(n) + rng.normal(scale=1.0 / math.sqrt(n), size=(n, n))
+        d = rng.uniform(0.1, 2.0, size=n)
+        return (lambda x: a @ x), (lambda x: x / d), rng.normal(size=n), a
+
+    @staticmethod
+    def both(matvec, precond, b, eta):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return matvec(x)
+
+        got = nl_filter._gmres(counted, precond, b, eta)
+        count = len(calls)
+        expect = reference_gmres(matvec, precond, b, eta)
+        assert np.array_equal(got, expect)
+        return got, count
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_loose_eta_stops_early(self, seed):
+        matvec, precond, b, a = self.random_system(seed)
+        x, count = self.both(matvec, precond, b, 0.3)
+        assert count < nl_filter._GMRES_VECTORS
+        assert np.linalg.norm(a @ x - b) <= 0.3 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_tight_eta_runs_the_whole_cycle(self, seed):
+        matvec, precond, b, _ = self.random_system(seed)
+        _, count = self.both(matvec, precond, b, 1e-14)
+        assert count == nl_filter._GMRES_VECTORS
+
+    def test_lucky_breakdown(self):
+        # A P^-1 = I on a right-hand side whose normalization is exact, so the
+        # first Gram-Schmidt step leaves exactly zero (h_next == 0)
+        b = np.full(16, 3.0)
+        x, count = self.both(lambda x: 2.0 * x, lambda x: 0.5 * x, b, 1e-12)
+        assert count == 1
+        assert np.array_equal(x, np.full(16, 1.5))
+
+    def test_zero_operator_returns_zero(self):
+        # A P^-1 = 0: the first rotation has radius 0, and no vector is kept
+        _, precond, b, _ = self.random_system(9)
+        x, count = self.both(lambda x: np.zeros_like(x), precond, b, 1e-12)
+        assert count == 1
+        assert np.array_equal(x, np.zeros_like(b))
 
 
 class TestLagged1D:

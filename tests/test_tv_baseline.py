@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -181,10 +182,20 @@ class TestDualUpdate:
         assert np.array_equal(new[1], np.array([-0.2 - 0.45 * 0.6]))
 
     def test_faces_that_do_not_move_do_not_limit_the_step(self):
-        duals = [np.array([1.0, -1.0, 0.3])]
-        steps = [np.array([0.0, 0.0, 0.5])]
-        assert np.array_equal(_dual_update(duals, steps)[0],
-                              np.array([1.0, -1.0, 0.8]))
+        # a zero step, of either sign, divides by zero: it must neither warn
+        # nor limit the step, also when no face moves at all (s = 1)
+        cases = [([np.array([1.0, -1.0, -1.0, 0.3])],
+                  [np.array([0.0, 0.0, -0.0, 0.5])],
+                  [np.array([1.0, -1.0, -1.0, 0.8])]),
+                 ([np.array([1.0, -0.4]), np.array([[-1.0, 0.0]])],
+                  [np.array([0.0, -0.0]), np.array([[0.0, -0.0]])],
+                  [np.array([1.0, -0.4]), np.array([[-1.0, 0.0]])])]
+        for duals, steps, expect in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                new = _dual_update(duals, steps)
+            for got, want in zip(new, expect):
+                assert np.array_equal(got, want)
 
 
 class TestTvRhs1D:
