@@ -22,17 +22,26 @@ zero-slope and zero-value Laplacians: D0 and D1 in 1D, five-point stencils
 in 2D.  Only the inner solve differs between the dimensions.  In 1D A is
 pentadiagonal, is written band by band in closed form
 (grid_ops.build_lagged_1d) and is solved exactly by banded LU
-(grid_ops.solve_banded).  In 2D A is too large for that and non-symmetric
-(the mirror and zero-boundary Laplacians differ), so A^-1 r is
-approximated by one cycle of right-preconditioned GMRES (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, preconditioned by
-max(g) (L_row + L_col)^2 + lambda I (_lagged_2d).  That preconditioner is
-diagonal in the eigenbases of the row and column zero-slope Laplacians D0
-(_d0_eigh, by scipy.linalg.eigh_tridiagonal); it is applied by dense matrix
-products with those two bases, not by a fast transform.  GMRES stops at the
-relative residual eta that core._iterate chooses for each correction by
-Eisenstat & Walker's choice 2 ("Choosing the forcing terms in an inexact
-Newton method", SIAM J. Sci. Comput. 17, 1996; core._forcing_term).
+(grid_ops.solve_banded).  In 2D A is too large for that.  Let T be the
+five-point Laplacian with zero values outside the grid, the Kronecker sum
+of the row and column D1, and R the projection that zeroes the boundary
+ring.  Then L_D = T R (the zero-boundary stencil zeroes its operand's
+ring) and R L_N = R T (the mirror stencil's interior rows read no ghost),
+so A = T diag(g ring_mask) T + lambda I: symmetric positive definite.
+A^-1 r is approximated by one cycle of right-preconditioned GMRES (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, preconditioned
+by max(g) T^2 + lambda I (_lagged_2d), which is A for a constant g up to a
+term on the boundary ring.  That preconditioner is diagonal in the
+eigenbases of the row and column D1, the DST-I sine bases (_d1_eigh, by
+scipy.linalg.eigh_tridiagonal); it is applied by dense matrix products
+with those two bases, not by a fast transform.  GMRES stays although A is
+symmetric: preconditioned CG in its place was faster at fig5 n=64 but
+missed the acceptance suite's 1e-11 flip-equivariance bound (1.45e-11),
+and scipy's MINRES at the same eta took 2-3 times the matvecs.  GMRES
+stops at the relative residual eta that core._iterate chooses for each
+correction by Eisenstat & Walker's choice 2 ("Choosing the forcing terms
+in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996;
+core._forcing_term).
 
 The lagged fixed point converges only linearly, so in 1D at p = 0.5 each
 correction first tries the Newton step: g = F'(w) = epsilon (w^2 +
@@ -51,7 +60,7 @@ one.
 
 When the noise norm delta is known (target_delta), core._iterate chooses
 lambda by the discrepancy principle, ||u - u0|| = delta; adaptive_lambda is
-its estimate on a given iterate.  fig5 at n=64 takes about 14 outer steps.
+its estimate on a given iterate.  fig5 at n=64 takes 11-13 outer steps.
 """
 
 from __future__ import annotations
@@ -303,10 +312,11 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     return u, replace(trace, dt_used=params.dt)
 
 
-def _d0_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (the DCT-II basis) of the
-    tridiagonal build_d0 matrix."""
-    ab = build_d0(n, h)
+def _d1_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (the DST-I sine basis) of the
+    tridiagonal build_d1 matrix, in which _lagged_2d's preconditioner
+    max(g) T^2 + lam I is diagonal (see the module docstring)."""
+    ab = build_d1(n, h)
     return scipy.linalg.eigh_tridiagonal(ab[1], ab[0, 1:])
 
 
@@ -356,12 +366,12 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
 
 def _lagged_2d(shape: tuple[int, int], h: float):
     """The 2D inner solve: one cycle of preconditioned GMRES, to the relative
-    residual eta.  A square field shares one D0 eigenbasis between its rows
+    residual eta.  A square field shares one D1 eigenbasis between its rows
     and columns."""
     inner, outer = _laplacians(shape, h)
-    eigh = {n: _d0_eigh(n, h) for n in set(shape)}
+    eigh = {n: _d1_eigh(n, h) for n in set(shape)}
     (mu, q_r), (nu, q_c) = (eigh[n] for n in shape)
-    squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of (L_row + L_col)^2
+    squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of T^2
 
     def solve(g, lam, r, eta):
         pivots = float(g.max()) * squared + lam

@@ -77,7 +77,10 @@ def count_matvecs(monkeypatch, module, name: str) -> list:
 
 def test_fig5_inner_solves_take_fewer_matvecs(monkeypatch):
     # fig5 at n=64, seed 42; with every inner solve at the fixed relative
-    # residual 1e-2, TV's CG took 420 matvecs and the filter's GMRES 134
+    # residual 1e-2, TV's CG took 420 matvecs and the filter's GMRES 134.
+    # Under the forcing rule the filter's GMRES took 120 with the
+    # preconditioner in the D0 (cosine) eigenbasis and takes 83 in the D1
+    # (sine) eigenbasis, which the second bound pins with a little slack
     clean = sample_f2d(64)
     noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=DELTA_REL_2D))
     delta = float(np.linalg.norm(noisy.values - clean.values))
@@ -88,3 +91,4 @@ def test_fig5_inner_solves_take_fewer_matvecs(monkeypatch):
     assert tv_trace.converged and nlap_trace.converged
     assert len(cg) <= 420 // 2
     assert len(gmres) <= 134
+    assert len(gmres) <= 88

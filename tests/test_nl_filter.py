@@ -412,22 +412,53 @@ def noisy_f2d(n: int, seed: int) -> tuple[Field2D, Field2D, float]:
 
 
 class TestLagged2D:
-    @staticmethod
-    def inner_solve_relative_residual(shape, eta):
-        # ||A x - r|| / ||r|| after one GMRES cycle to eta, A = L_D diag(g)
-        # L_N + lam I built from the dense oracles; a square grid shares one
-        # D0 eigenbasis between rows and columns
+    H, LAM = 0.5, 0.3
+
+    @classmethod
+    def dense_lagged(cls, g):
+        # A = L_D diag(g) L_N + lam I from the dense oracles
+        units = np.eye(g.size).reshape(g.size, *g.shape)
+        lap_n, lap_d = (np.array([dense_lap2d(e, cls.H, kind).ravel() for e in units]).T
+                        for kind in ("neumann", "dirichlet"))
+        return lap_d @ np.diag(g.ravel()) @ lap_n + cls.LAM * np.eye(g.size)
+
+    @classmethod
+    def inner_solve_relative_residual(cls, shape, eta):
+        # ||A x - r|| / ||r|| after one GMRES cycle to eta; a square grid
+        # shares one D1 eigenbasis between rows and columns
         rng = np.random.default_rng(21)
-        h, lam = 0.5, 0.3
         g = rng.uniform(0.05, 3.0, size=shape)
         r = rng.normal(size=shape)
-        units = np.eye(g.size).reshape(g.size, *shape)
-        lap_n, lap_d = (np.array([dense_lap2d(e, h, kind).ravel() for e in units]).T
-                        for kind in ("neumann", "dirichlet"))
-        a = lap_d @ np.diag(g.ravel()) @ lap_n + lam * np.eye(g.size)
-        x = nl_filter._lagged_2d(shape, h)(g, lam, r, eta)
+        a = cls.dense_lagged(g)
+        x = nl_filter._lagged_2d(shape, cls.H)(g, cls.LAM, r, eta)
         assert x.shape == shape
         return np.linalg.norm(a @ x.ravel() - r.ravel()) / np.linalg.norm(r)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
+    def test_lagged_matrix_is_symmetric_in_the_d1_laplacian(self, shape):
+        # the preconditioner's premise: with T = D1_row + D1_col (a Kronecker
+        # sum), L_D = T R and R L_N = R T for R the zero-ring projection, so
+        # A = T diag(g ring_mask) T + lam I, symmetric bit for bit
+        g = np.random.default_rng(21).uniform(0.05, 3.0, size=shape)
+        a = self.dense_lagged(g)
+        rows, cols = shape
+        t = (np.kron(dense_d1(rows, self.H), np.eye(cols))
+             + np.kron(np.eye(rows), dense_d1(cols, self.H)))
+        ring_mask = np.zeros(shape)
+        ring_mask[1:-1, 1:-1] = 1.0
+        assert np.array_equal(a, a.T)
+        assert np.array_equal(
+            a, t @ np.diag((g * ring_mask).ravel()) @ t + self.LAM * np.eye(g.size))
+
+    @pytest.mark.parametrize("n", [3, 8, 33])
+    def test_d1_eigh_returns_eigenpairs_of_d1(self, n):
+        h = 1.0 / (n + 1)
+        d1 = dense_d1(n, h)
+        mu, q = nl_filter._d1_eigh(n, h)
+        assert mu.shape == (n,) and q.shape == (n, n)
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14 * n
+        residual = np.linalg.norm(d1 @ q - q * mu, axis=0)
+        assert residual.max() <= 1e-14 * n * np.linalg.norm(d1, 2)
 
     @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
     def test_inner_solve_reaches_its_tolerance(self, shape):
