@@ -29,19 +29,22 @@ ring.  Then L_D = T R (the zero-boundary stencil zeroes its operand's
 ring) and R L_N = R T (the mirror stencil's interior rows read no ghost),
 so A = T diag(g ring_mask) T + lambda I: symmetric positive definite.
 A^-1 r is approximated by one cycle of right-preconditioned GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), matrix-free, preconditioned
-by max(g) T^2 + lambda I (_lagged_2d), which is A for a constant g up to a
-term on the boundary ring.  That preconditioner is diagonal in the
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), preconditioned by
+P = max(g) T^2 + lambda I, which is A for a constant g up to a term on the
+boundary ring.  T, and so P, is diagonal in the products Q of the
 eigenbases of the row and column D1, the DST-I sine bases (_d1_eigh, by
-scipy.linalg.eigh_tridiagonal); it is applied by dense matrix products
-with those two bases, not by a fast transform.  GMRES stays although A is
-symmetric: preconditioned CG in its place was faster at fig5 n=64 but
-missed the acceptance suite's 1e-11 flip-equivariance bound (1.45e-11),
-and scipy's MINRES at the same eta took 2-3 times the matvecs.  GMRES
-stops at the relative residual eta that core._iterate chooses for each
-correction by Eisenstat & Walker's choice 2 ("Choosing the forcing terms
-in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996;
-core._forcing_term).
+scipy.linalg.eigh_tridiagonal): the fast diagonalization of Lynch, Rice &
+Thomas (Numer. Math. 6, 1964).  So GMRES runs on the sine-basis
+coefficients (_lagged_2d): on Q^T A P^-1 Q, which has the Krylov residual
+norms of A P^-1, and whose matvec is four dense matrix products with the
+two bases and applies no stencil; there is no fast transform.  GMRES
+stays although A is symmetric: preconditioned CG in its place was faster
+at fig5 n=64 but missed the acceptance suite's 1e-11 flip-equivariance
+bound (1.45e-11), and scipy's MINRES at the same eta took 2-3 times the
+matvecs.  GMRES stops at the relative residual eta that core._iterate
+chooses for each correction by Eisenstat & Walker's choice 2 ("Choosing
+the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
+1996; core._forcing_term).
 
 The lagged fixed point converges only linearly, so in 1D at p = 0.5 each
 correction first tries the Newton step: g = F'(w) = epsilon (w^2 +
@@ -314,19 +317,23 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
 
 def _d1_eigh(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors (the DST-I sine basis) of the
-    tridiagonal build_d1 matrix, in which _lagged_2d's preconditioner
-    max(g) T^2 + lam I is diagonal (see the module docstring)."""
+    tridiagonal build_d1 matrix.  Their products along rows and columns
+    diagonalize T and _lagged_2d's pivots max(g) T^2 + lam I, and
+    _lagged_2d's GMRES runs on coefficients in them (see the module
+    docstring)."""
     ab = build_d1(n, h)
     return scipy.linalg.eigh_tridiagonal(ab[1], ab[0, 1:])
 
 
-def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
-    """One cycle of right-preconditioned GMRES for A x = b from x = 0.
+def _gmres(matvec, b: np.ndarray, eta: float) -> np.ndarray:
+    """One cycle of GMRES for A x = b from x = 0, with matvec applying A.
 
-    Builds an orthonormal Krylov basis of A P^-1 (classical Gram-Schmidt,
+    Builds an orthonormal Krylov basis V of A (classical Gram-Schmidt,
     applied twice) and stops once the least-squares residual is at most
-    eta ||b|| or _GMRES_VECTORS vectors are used; returns P^-1 V y.  eta is
-    the forcing term of core._forcing_term (Eisenstat & Walker's choice 2).
+    eta ||b|| or _GMRES_VECTORS vectors are used; returns V y.  A right
+    preconditioner P is the caller's: it hands over A P^-1 and maps the
+    result back by P^-1.  eta is the forcing term of core._forcing_term
+    (Eisenstat & Walker's choice 2).
     """
     beta = float(np.linalg.norm(b))
     m = _GMRES_VECTORS
@@ -337,7 +344,7 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
     rhs = [beta]
     size = 0
     for j in range(m):
-        w = matvec(precond(basis[j]))
+        w = matvec(basis[j])
         col = 0.0  # so that a -0.0 coefficient enters R as +0.0
         for _ in range(2):
             coef = basis[: j + 1] @ w
@@ -348,7 +355,7 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         radius = float(np.hypot(col[j], h_next))
-        if radius == 0.0:  # A P^-1 is singular on the Krylov space
+        if radius == 0.0:  # A is singular on the Krylov space
             break
         c, s = col[j] / radius, h_next / radius
         rotations.append((c, s))
@@ -361,29 +368,37 @@ def _gmres(matvec, precond, b: np.ndarray, eta: float) -> np.ndarray:
         np.divide(w, h_next, out=basis[j + 1])
     y = scipy.linalg.solve_triangular(hess[:size, :size], rhs[:size],
                                       check_finite=False)
-    return precond(y @ basis[:size])
+    return y @ basis[:size]
 
 
 def _lagged_2d(shape: tuple[int, int], h: float):
-    """The 2D inner solve: one cycle of preconditioned GMRES, to the relative
-    residual eta.  A square field shares one D1 eigenbasis between its rows
-    and columns."""
-    inner, outer = _laplacians(shape, h)
+    """The 2D inner solve: one cycle of GMRES on sine-basis coefficients, to
+    the relative residual eta.
+
+    With Q = q_r (x) q_c, Lambda = mu_i + nu_j the spectrum of T and
+    D = max(g) Lambda^2 + lam the pivots, it solves
+    A_hat = Lambda Q^T diag(R g) Q Lambda D^-1 + lam D^-1 for z_hat from
+    r_hat = Q^T r and returns Q D^-1 z_hat: right-preconditioned GMRES on
+    A P^-1 with P^-1 = Q D^-1 Q^T, in the coefficients.  A matvec is four
+    dense products and no stencil.  A square field shares one D1
+    eigenbasis between its rows and columns.
+    """
     eigh = {n: _d1_eigh(n, h) for n in set(shape)}
     (mu, q_r), (nu, q_c) = (eigh[n] for n in shape)
-    squared = (mu[:, None] + nu[None, :]) ** 2  # spectrum of T^2
+    spectrum = mu[:, None] + nu[None, :]  # of T
 
     def solve(g, lam, r, eta):
-        pivots = float(g.max()) * squared + lam
+        pivots = float(g.max()) * spectrum ** 2 + lam
+        # Lambda D^-1, lam D^-1 and R g
+        scale, shift, weight = spectrum / pivots, lam / pivots, np.pad(g[1:-1, 1:-1], 1)
 
-        def precond(x):
-            x = q_r.T @ x.reshape(shape) @ q_c
-            return (q_r @ (x / pivots) @ q_c.T).ravel()
+        def matvec(y):
+            y = y.reshape(shape)
+            x = spectrum * (q_r.T @ (weight * (q_r @ (scale * y) @ q_c.T)) @ q_c)
+            x += shift * y
+            return x.ravel()
 
-        def matvec(x):
-            x = x.reshape(shape)
-            return (outer(g * inner(x)) + lam * x).ravel()
-
-        return _gmres(matvec, precond, r.ravel(), eta).reshape(shape)
+        z = _gmres(matvec, (q_r.T @ r @ q_c).ravel(), eta).reshape(shape)
+        return q_r @ (z / pivots) @ q_c.T
 
     return solve

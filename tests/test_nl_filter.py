@@ -395,6 +395,18 @@ class TestDenoise2D:
         neg, _ = denoise_2d(f.with_values(-f.values), params)
         assert np.array_equal(neg.values, -pos.values)
 
+    def test_non_square_equivariance(self):
+        # rows and columns take different sine bases on a non-square field,
+        # so a swap of the two would break these where a square one cannot
+        f = Field2D(np.random.default_rng(99).normal(size=(9, 13)))
+        params = FilterParams(lam=1.0, max_iters=60, tol=1e-300)
+        base, _ = denoise_2d(f, params)
+        for move, undo in ((np.rot90, lambda v: np.rot90(v, -1)),
+                           (lambda v: v[:, ::-1], lambda v: v[:, ::-1]),
+                           (np.transpose, np.transpose)):
+            moved, _ = denoise_2d(f.with_values(move(f.values)), params)
+            assert np.abs(undo(moved.values) - base.values).max() <= 1e-11
+
     def test_small_field_rejected(self):
         with pytest.raises(ValueError):
             denoise_2d(Field2D(np.ones((2, 2))), FilterParams())
@@ -409,6 +421,15 @@ def noisy_f2d(n: int, seed: int) -> tuple[Field2D, Field2D, float]:
     clean = sample_f2d(n)
     noisy = add_noise(clean, NoiseSpec(seed=seed, delta_rel=0.05))
     return clean, noisy, float(np.linalg.norm(noisy.values - clean.values))
+
+
+# inner-solve shapes: the smallest field, a thin one, and a non-square and
+# a square one with more than one interior row
+SHAPES = [(3, 3), (3, 7), (6, 5), (6, 6)]
+
+
+def shape_id(shape) -> str:
+    return f"{shape[0]}x{shape[1]}"
 
 
 class TestLagged2D:
@@ -460,11 +481,40 @@ class TestLagged2D:
         residual = np.linalg.norm(d1 @ q - q * mu, axis=0)
         assert residual.max() <= 1e-14 * n * np.linalg.norm(d1, 2)
 
-    @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_gmres_runs_on_sine_coefficients(self, monkeypatch, shape):
+        # the operator _lagged_2d hands _gmres is Q^T A Q D^-1: A P^-1 in
+        # the product sine basis Q = q_r (x) q_c, with the pivots
+        # D = max(g) Lambda^2 + lam for Lambda the spectrum of T
+        rng = np.random.default_rng(21)
+        g = rng.uniform(0.05, 3.0, size=shape)
+        handed = []
+        monkeypatch.setattr(nl_filter, "_gmres", lambda matvec, b, eta:
+                            handed.append(matvec) or np.zeros_like(b))
+        nl_filter._lagged_2d(shape, self.H)(g, self.LAM, rng.normal(size=shape), 1e-2)
+        (mu, q_r), (nu, q_c) = (nl_filter._d1_eigh(n, self.H) for n in shape)
+        q = np.kron(q_r, q_c)
+        pivots = g.max() * (mu[:, None] + nu[None, :]).ravel() ** 2 + self.LAM
+        expect = q.T @ self.dense_lagged(g) @ q / pivots
+        got = np.array([handed[0](e) for e in np.eye(g.size)]).T
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_tight_inner_solve_is_the_dense_step(self, shape):
+        # every shape has fewer unknowns than _GMRES_VECTORS, so one cycle
+        # at a tight eta reaches A^-1 r
+        rng = np.random.default_rng(22)
+        g = rng.uniform(0.05, 3.0, size=shape)
+        r = rng.normal(size=shape)
+        x = nl_filter._lagged_2d(shape, self.H)(g, self.LAM, r, 1e-13)
+        expect = np.linalg.solve(self.dense_lagged(g), r.ravel()).reshape(shape)
+        assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
     def test_inner_solve_reaches_its_tolerance(self, shape):
         assert self.inner_solve_relative_residual(shape, 1e-2) <= 1e-2
 
-    @pytest.mark.parametrize("shape", [(6, 5), (6, 6)], ids=["6x5", "6x6"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
     def test_inner_solve_reaches_a_loose_tolerance(self, shape):
         # core._ETA_MAX, the cap of the forcing rule
         assert self.inner_solve_relative_residual(shape, 0.3) <= 0.3
@@ -490,6 +540,16 @@ class TestLagged2D:
         assert trace.iters_run <= 20
         fid = np.linalg.norm(restored.values - noisy.values)
         assert abs(fid - delta) <= 1e-4 * delta
+
+    def test_fig5_runs_no_stencil_inside_the_inner_solve(self, monkeypatch):
+        # GMRES iterates on sine-basis coefficients, where T is diagonal, so
+        # only each check's D(u) applies the two stencils: 26 calls for 13
+        # checks (192 when every matvec applied both stencils)
+        calls = count_calls(monkeypatch, "laplacian_2d_values")
+        _, noisy, delta = noisy_f2d(64, seed=42)
+        _, trace = denoise_2d(noisy, replace(NLAP_2D, target_delta=delta))
+        assert trace.converged
+        assert len(calls) == 2 * trace.iters_run
 
     def test_constant_fixed_point(self):
         f = Field2D(np.full((7, 5), 0.3))
@@ -543,7 +603,8 @@ class TestLagged2D:
 
 
 class TestGmres:
-    """nl_filter._gmres against reference_gmres, bit for bit.  Every matvec
+    """nl_filter._gmres, handed A P^-1 and mapped back by P^-1 as
+    _lagged_2d does, against reference_gmres, bit for bit.  Every matvec
     and precond returns a fresh array: _gmres subtracts from what matvec
     returns in place."""
 
@@ -564,7 +625,7 @@ class TestGmres:
             calls.append(1)
             return matvec(x)
 
-        got = nl_filter._gmres(counted, precond, b, eta)
+        got = precond(nl_filter._gmres(lambda x: counted(precond(x)), b, eta))
         count = len(calls)
         expect = reference_gmres(matvec, precond, b, eta)
         assert np.array_equal(got, expect)
