@@ -29,7 +29,7 @@ def _add_common_flags(sub, tv: bool):
     sub.add_argument("--input", type=Path, required=True)
     sub.add_argument("--output", type=Path, default=None)
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=float, default=None,
+    group.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="fixed fidelity weight, > 0 (default 1.0)")
     if not tv:
         group.add_argument("--delta", type=float, default=None,
@@ -103,30 +103,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _filter_params(args) -> FilterParams:
-    kwargs = dict(
-        epsilon=args.epsilon,
-        p=args.p,
-        dt=args.dt,
-        max_iters=args.iters,
-        tol=args.tol,
-    )
-    if args.delta is not None:
-        kwargs["target_delta"] = args.delta
-    elif args.lam is not None:
-        kwargs["lam"] = args.lam
-    return FilterParams(**kwargs)
-
-
-def _tv_params(args) -> TvParams:
-    return TvParams(
-        lam=1.0 if args.lam is None else args.lam,
-        beta=args.beta,
-        max_iters=args.iters,
-        tol=args.tol,
-    )
-
-
 def cmd_denoise(args) -> int:
     """denoise1d, denoise2d, tv1d and tv2d: the command name picks the file
     format (CSV in 1D, PGM in 2D) and the method."""
@@ -152,10 +128,13 @@ def cmd_denoise(args) -> int:
     if command == "denoise2d" and args.warm_start is not None:
         kwargs["warm_start"] = read_pgm(args.warm_start)
     if command.startswith("tv"):
-        params = _tv_params(args)
+        params = TvParams(lam=args.lam, beta=args.beta, max_iters=args.iters,
+                          tol=args.tol)
         solve = tv_denoise_1d if one_d else tv_denoise_2d
     else:
-        params = _filter_params(args)
+        params = FilterParams(lam=args.lam, epsilon=args.epsilon, p=args.p,
+                              dt=args.dt, max_iters=args.iters, tol=args.tol,
+                              target_delta=args.delta)
         solve = denoise_1d if one_d else denoise_2d
     restored, trace = solve(noisy, params, **kwargs)
 

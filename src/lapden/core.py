@@ -6,9 +6,9 @@ baseline, by primal-dual Newton steps.
 Each method is the equilibrium of an evolution equation
 du/dt = -D(u) - lam (u - u0), and supplies only its diffusion term D(u)
 (nonlinear filter: L_D F(L_N u); TV: -div(grad u / |grad u|_beta)) and its
-correction step.  The loop forms the stationary residual
-r = -D(u) - lam (u - u0), runs the stop rule and, when the noise norm delta
-is known, chooses lam by the discrepancy principle (_iterate)."""
+step rule, which returns the next iterate.  The loop forms the stationary
+residual r = -D(u) - lam (u - u0), runs the stop rule and, when the noise
+norm delta is known, chooses lam by the discrepancy principle (_iterate)."""
 
 from __future__ import annotations
 
@@ -284,11 +284,14 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     would converge only linearly, and solves with the residual formed at
     that lam, r + (lam_est - lam_step)(u - u0).
 
-    step(frozen, lam, r, eta) returns the correction: A^-1 r for the
-    operator A formed at u (lagged diffusivity, primal-dual Newton) or dt r
-    (explicit Euler).  An inexact inner solve of A^-1 r stops at the
-    relative residual eta, the forcing term of _forcing_term; exact solves
-    and explicit steps ignore it.
+    step(u, frozen, lam, r, eta) returns (u_next, pending): the next
+    iterate, u + A^-1 r for the operator A formed at u (lagged diffusivity,
+    primal-dual Newton) or u + dt r (explicit Euler), and the (D, frozen)
+    of u_next when the step has formed it already (an accepted trial point),
+    else None.  The next check uses pending in place of diffusion(u_next).
+    An inexact inner solve of A^-1 r stops at the relative residual eta, the
+    forcing term of _forcing_term; exact solves and explicit steps ignore
+    it.
     """
     adaptive = target_delta is not None
     if not adaptive and not lam > 0:
@@ -300,10 +303,11 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
     converged = False
     prev = None  # (||r||, eta) of the last correction
     state = None  # what _step_lambda carries from one correction to the next
+    pending = None  # the (D, frozen) of u, when the step formed it
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 2):
-            d, frozen = diffusion(u)
+            d, frozen = pending or diffusion(u)
             du = u - u0v
             if adaptive:
                 lam = (_lambda_estimate(du, d, target_delta) if it > 1
@@ -322,7 +326,7 @@ def _iterate(u0v: np.ndarray, u: np.ndarray, tol: float, max_iters: int,
             if adaptive:  # the next check re-estimates lam
                 lam_step, state = _step_lambda(lam, state)
                 lam, r = lam_step, r + (lam - lam_step) * du
-            u = u + step(frozen, lam, r, eta)
+            u, pending = step(u, frozen, lam, r, eta)
 
     return u, RunTrace(len(rows), *np.array(rows).T, dt_used=None,
                        converged=converged,

@@ -5,23 +5,22 @@ the double-Laplacian analogue in 2D), which solves the fourth-order
 stationary filter equation.  F saturates large curvature, so
 discontinuities survive while oscillatory noise is diffused away.
 
-Both dimensions take their pair of Laplacians from one place (_laplacians),
-and one evaluator (_evaluator) forms the diffusion term D(u) = L_D F(L_N u)
-from them, for the loop, the right-hand sides and adaptive_lambda.  The
-loop is core._iterate, which the TV baseline runs too: it forms the
-stationary residual r = -D(u) - lambda (u - u0) from D(u), and rejects a
-fixed lambda <= 0.  _evolve hands it D(u) and the correction step, which it
-alone chooses.  A fixed time step dt takes explicit Euler steps
-u <- u + dt r.  Otherwise the equilibrium is reached without time
-stepping, by the lagged-diffusivity fixed point of Vogel & Oman,
-"Iterative methods for total variation denoising", SIAM J. Sci. Comput. 17
-(1996): writing F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer
-step freezes g at w = L_N u and takes u <- u + A^-1 r with
-A = L_D diag(g) L_N + lambda I.  L_N and L_D are the dimension's
-zero-slope and zero-value Laplacians: D0 and D1 in 1D, five-point stencils
-in 2D.  Only the inner solve differs between the dimensions.  In 1D A is
-pentadiagonal, is written band by band in closed form
-(grid_ops.build_lagged_1d) and is solved exactly by banded LU
+One evaluator (_evaluator) forms the diffusion term D(u) = L_D F(L_N u)
+in either dimension, for the loop, the right-hand sides and
+adaptive_lambda.  The loop is core._iterate, which the TV baseline runs
+too: it forms the stationary residual r = -D(u) - lambda (u - u0) from
+D(u), and rejects a fixed lambda <= 0.  _evolve hands it the evaluator and
+the step rule, which it alone chooses and which returns the next iterate.
+A fixed time step dt takes explicit Euler steps u <- u + dt r.  Otherwise
+the equilibrium is reached without time stepping, by the
+lagged-diffusivity fixed point of Vogel & Oman, "Iterative methods for
+total variation denoising", SIAM J. Sci. Comput. 17 (1996): writing
+F(w) = g(w) w with g = (w^2 + epsilon)^-p > 0, each outer step freezes g
+at w = L_N u and takes u <- u + A^-1 r with A = L_D diag(g) L_N + lambda I.
+L_N and L_D are the dimension's zero-slope and zero-value Laplacians: D0
+and D1 in 1D, five-point stencils in 2D.  Only the inner solve differs
+between the dimensions.  In 1D A is pentadiagonal, is written band by band
+in closed form (grid_ops.build_lagged_1d) and is solved exactly by banded LU
 (grid_ops.solve_banded).  In 2D A is too large for that.  Let T be the
 five-point Laplacian with zero values outside the grid, the Kronecker sum
 of the row and column D1, and R the projection that zeroes the boundary
@@ -169,29 +168,22 @@ def stable_step_bound(h: float, epsilon: float, p: float, lam: float) -> float:
     return 2.0 / (16.0 * epsilon ** (-p) / h**4 + lam)
 
 
-def _laplacians(shape: tuple[int, ...], h: float):
-    """The dimension's two Laplacians (inner, outer), as functions of an array.
+def _evaluator(shape: tuple[int, ...], h: float, params: FilterParams):
+    """u -> (D, w): the filter's diffusion term D(u) = outer(F(w)) and
+    w = inner(u), for the dimension's two Laplacians.
 
     inner has zero-slope ends and outer zero-value ends: D0 and D1 in 1D, the
     mirror and zero-boundary five-point stencils in 2D.  The lambdas look
-    apply_banded and laplacian_2d_values up when called, so a tracer that
-    replaces them on this module sees every call.
+    apply_banded and laplacian_2d_values up when called, and evaluate looks
+    up flux, so a tracer that replaces them on this module sees every call.
     """
     if len(shape) == 1:
         d0, d1 = build_d0(shape[0], h), build_d1(shape[0], h)
-        return lambda x: apply_banded(d0, x), lambda x: apply_banded(d1, x)
-    return (lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
+        inner, outer = lambda x: apply_banded(d0, x), lambda x: apply_banded(d1, x)
+    else:
+        inner, outer = (
+            lambda x: laplacian_2d_values(x, h, Stencil2DKind.NEUMANN_MIRROR),
             lambda x: laplacian_2d_values(x, h, Stencil2DKind.DIRICHLET_ZERO))
-
-
-def _evaluator(shape: tuple[int, ...], h: float, params: FilterParams):
-    """u -> (D, w): the filter's diffusion term D(u) = outer(F(w)) and
-    w = inner(u), for the dimension's _laplacians.
-
-    F(w) goes through flux, which, like the Laplacians, is looked up when
-    called.
-    """
-    inner, outer = _laplacians(shape, h)
 
     def evaluate(u):
         w = inner(u)
@@ -248,10 +240,8 @@ def denoise_2d(u0: Field2D, params: FilterParams,
     iteration in place of u0."""
     if u0.rows < 3 or u0.cols < 3:
         raise ValueError(f"need at least a 3x3 field, got {u0.rows}x{u0.cols}")
-    if warm_start is not None and (
-        warm_start.values.shape != u0.values.shape or warm_start.h != u0.h
-    ):
-        raise ValueError("warm start grid does not match the data grid")
+    if warm_start is not None:
+        require_same_grid(warm_start, u0)
     start = (warm_start if warm_start is not None else u0).values.copy()
     values, trace = _evolve(u0.values, start, u0.h, params)
     return u0.with_values(values), trace
@@ -262,56 +252,46 @@ def _evolve(u0v: np.ndarray, u: np.ndarray, h: float,
     """core._iterate from u to the equilibrium of the data u0v, in either
     dimension: the one place that chooses the correction step.
 
-    A fixed dt takes explicit Euler steps u <- u + dt r on _evaluator's
-    diffusion term, and dt_used is that dt.  dt unset takes the lagged
-    step, with the Newton step tried first in 1D at p = 0.5 (see the module
-    docstring).  step(frozen, lam, r, eta) returns the correction at the
-    lam and residual r it is handed.  solve(g, lam, r, eta) returns (an
-    approximation of) A^-1 r for the frozen matrix
-    A = outer diag(g) inner + lam I: banded LU in 1D, exact whatever eta
-    asks, and _lagged_2d in 2D, to the relative residual eta.  The lagged
-    step takes g = (w^2 + epsilon)^-p, so that F(w) = g w.  At lam = 0 A is
-    singular (L_N annihilates constants); core._iterate rejects a fixed
-    lam = 0, and a lam estimate of 0 solves with _LAMBDA_INIT in its place,
-    in both dimensions.  The Newton step takes g = F'(w), so that A is minus
-    the Jacobian of r, and only at lam > 0.  Its delta is a trial, kept
-    when the residual at u + delta is at most half of r, and the kept
-    trial's (D, w) serves the next check: core._iterate forms that iterate
-    as u + delta too.
+    The loop evaluates D(u) by _evaluator on every path.  A fixed dt takes
+    explicit Euler steps u <- u + dt r, and dt_used is that dt.  dt unset
+    takes the lagged step, with the Newton step tried first in 1D at p = 0.5
+    (see the module docstring).  step(u, w, lam, r, eta) returns the next
+    iterate, for the lam and residual r it is handed, and core._iterate's
+    pending.  solve(g, lam, r, eta) returns (an approximation of) A^-1 r for
+    the frozen matrix A = outer diag(g) inner + lam I: banded LU in 1D,
+    exact whatever eta asks, and _lagged_2d in 2D, to the relative residual
+    eta.  The lagged step takes g = (w^2 + epsilon)^-p, so that F(w) = g w.
+    At lam = 0 A is singular (L_N annihilates constants); core._iterate
+    rejects a fixed lam = 0, and a lam estimate of 0 solves with
+    _LAMBDA_INIT in its place, in both dimensions.  The Newton step takes
+    g = F'(w), so that A is minus the Jacobian of r, and only at lam > 0.
+    Its point u + delta is a trial, kept when the residual there is at most
+    half of r, and the kept trial's (D, w) is the pending evaluation of the
+    next check.
     """
     eps, p = params.epsilon, params.p
     evaluate = _evaluator(u.shape, h, params)
     if params.dt is not None:
-        diffusion, step = evaluate, lambda w, lam, r, eta: params.dt * r
+        step = lambda u, w, lam, r, eta: (u + params.dt * r, None)
     else:
         solve = (_lagged_2d(u.shape, h) if u.ndim == 2 else
                  lambda g, lam, r, eta: solve_banded(build_lagged_1d(g, h, lam), r))
         newton = u.ndim == 1 and p == 0.5
-        kept = None  # a kept trial's (D, w), for the check at u + delta
 
-        def diffusion(u):
-            nonlocal kept
-            (d, w), kept = kept or evaluate(u), None
-            return d, (u, w)
-
-        def step(frozen, lam, r, eta):
-            nonlocal kept
-            u, w = frozen
+        def step(u, w, lam, r, eta):
             if newton and lam > 0:
-                delta = solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
-                trial = u + delta
+                trial = u + solve(eps * (w * w + eps) ** -1.5, lam, r, eta)
                 d, w_trial = evaluate(trial)
                 if np.linalg.norm(-d - lam * (trial - u0v)) \
                         <= 0.5 * np.linalg.norm(r):
-                    kept = d, w_trial
-                    return delta
+                    return trial, (d, w_trial)
             # a zero lam estimate would leave the constant mode without a
             # pivot; the initial weight then stands in
-            return solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
-                         r, eta)
+            return u + solve((w * w + eps) ** -p, lam if lam > 0 else _LAMBDA_INIT,
+                             r, eta), None
 
     u, trace = _iterate(u0v, u, params.tol, params.max_iters, params.lam,
-                        params.target_delta, diffusion, step)
+                        params.target_delta, evaluate, step)
     return u, replace(trace, dt_used=params.dt)
 
 

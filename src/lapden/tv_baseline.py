@@ -219,10 +219,15 @@ def _dual_update(duals, steps) -> list:
 
 def _tv_evolve(values0: np.ndarray, h: float,
                params: TvParams) -> tuple[np.ndarray, RunTrace]:
-    """Primal-dual Newton iteration from values0 to the TV equilibrium."""
+    """Primal-dual Newton iteration from values0 to the TV equilibrium.
+
+    step(u, faces, lam, r, eta) solves A du = r at the faces of u, moves the
+    dual flux and returns the full step u + du; it forms no evaluation of
+    u + du, so core._iterate evaluates every iterate by _tv_diffusion.
+    """
     duals = None  # the dual flux w of every face, one array per axis
 
-    def solve(faces, lam, r, eta):
+    def step(u, faces, lam, r, eta):
         nonlocal duals
         if duals is None:
             duals = [np.zeros_like(diff) for _, diff, _ in faces]
@@ -237,11 +242,11 @@ def _tv_evolve(values0: np.ndarray, h: float,
         duals = _dual_update(duals, [
             h * weight * (du[hi] - du[lo]) - w + diff / mag
             for (lo, hi, weight), w, (_, diff, mag) in zip(weights, duals, faces)])
-        return du
+        return u + du, None
 
     return _iterate(values0, values0.copy(), params.tol, params.max_iters,
                     params.lam, None, lambda u: _tv_diffusion(u, h, params.beta),
-                    solve)
+                    step)
 
 
 def tv_denoise_1d(u0: Signal1D, params: TvParams) -> tuple[Signal1D, RunTrace]:

@@ -22,6 +22,7 @@ from lapden import (
 )
 import lapden.cli
 from lapden.cli import build_parser, main
+from lapden.experiments import run_experiment
 
 
 @pytest.fixture
@@ -300,18 +301,21 @@ class TestTv2D:
         assert out.exists()
 
 
-# command -> its flags and the library call they stand for
+# case (the command, then what sets it apart) -> its flags and the library
+# call they stand for
 LIBRARY_CALLS = {
     "denoise1d": (["--delta", "0.5"], denoise_1d, FilterParams(target_delta=0.5)),
     "tv1d": (["--lambda", "3"], tv_denoise_1d, TvParams(lam=3.0)),
     "denoise2d": (["--lambda", "2"], denoise_2d, FilterParams(lam=2.0)),
     "tv2d": (["--lambda", "5"], tv_denoise_2d, TvParams(lam=5.0)),
+    "denoise1d defaults": ([], denoise_1d, FilterParams()),
 }
 
 
-@pytest.mark.parametrize("command", LIBRARY_CALLS)
-def test_command_writes_what_the_library_returns(sine_files, tmp_path, command):
-    flags, solve, params = LIBRARY_CALLS[command]
+@pytest.mark.parametrize("case", LIBRARY_CALLS)
+def test_command_writes_what_the_library_returns(sine_files, tmp_path, case):
+    flags, solve, params = LIBRARY_CALLS[case]
+    command = case.split()[0]
     one_d = command.endswith("1d")
     if one_d:
         src, read, write, ext = sine_files[1], read_csv_1d, write_csv_1d, "csv"
@@ -363,6 +367,11 @@ class TestExperiment:
     def test_unknown_name(self, tmp_path):
         code = main(["experiment", "fig9", "--outdir", str(tmp_path)])
         assert code == 2
+
+    def test_unknown_name_rejected_by_the_library(self, tmp_path):
+        # argparse's choices stop fig9 before run_experiment sees it
+        with pytest.raises(ValueError, match="unknown experiment 'fig9'"):
+            run_experiment("fig9", 42, None, tmp_path)
 
     @pytest.mark.parametrize("name", ["fig2", "fig5"])
     def test_zero_size_is_rejected(self, tmp_path, capsys, name):
@@ -433,6 +442,8 @@ _USAGE_ARGVS = [
     ["denoise1d", "--input"],
     ["denoise2d", "--input", "x.pgm", "--warm-start"],
     ["denoise1d", "--input", "x.csv", "--lambda", "1", "--delta", "1"],
+    # --lambda has a default, which must not let it through after --delta
+    ["denoise1d", "--input", "x.csv", "--delta", "1", "--lambda", "1.0"],
     ["denoise1d", "--input", "x.csv", "--dt", "x"],
     # arguments the command does not recognise
     ["denoise1d", "--input", "x.csv", "--foo"],

@@ -66,6 +66,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="domain ends must be finite"):
             read_csv_1d(path)
 
+    def test_bad_grid_header_cites_line(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("# h=x a=0 b=1\n1\n2\n")
+        with pytest.raises(CsvParseError, match="line 1: bad grid header"):
+            read_csv_1d(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -142,6 +148,21 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n3 3\n", "truncated header"),
+        (b"P2 x 2 255 0 0 0 0", "non-numeric width: b'x'"),
+        (b"P2 0 2 255", "width must be positive, got 0"),
+        (b"P2 2 2 255 0 1 2", "truncated raster: expected 4 samples, got 3"),
+        (b"P2 2 2 255 0 1 x 3", "non-numeric raster sample"),
+        (b"P2 2 2 100 0 1 200 3", "raster sample exceeds maxval"),
+    ], ids=["header", "width-text", "width-zero", "p2-raster", "p2-sample",
+            "above-maxval"])
+    def test_malformed_file_rejected(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmFormatError, match=message):
+            read_pgm(path)
+
     def test_maxval_too_large(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P2 2 2 65535 0 1 2 3")
@@ -159,6 +180,15 @@ class TestPgm:
         back = read_pgm(path)
         assert back.values[0, 0] == 0.0
         assert back.values[0, 2] == 1.0
+
+    def test_non_finite_write_rejected(self, tmp_path):
+        # Field2D checks its samples on construction, not after
+        f = Field2D(np.zeros((3, 3)))
+        f.values[1, 1] = np.nan
+        path = tmp_path / "nan.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_pgm(path, f)
+        assert not path.exists()
 
 
 class TestSvg:
@@ -196,6 +226,14 @@ class TestSvg:
             ("noisy", "#d62728", noisy), ("restored", "#1f77b4", restored),
         )))
         assert path.read_text().count("<polyline") == 2
+
+    @pytest.mark.parametrize("width, series, message", [
+        (0, (("a", "#000000", np.ones(3)),), "dimensions must be positive"),
+        (100, (), "at least one series"),
+    ], ids=["zero-width", "no-series"])
+    def test_bad_spec_rejected(self, width, series, message):
+        with pytest.raises(ValueError, match=message):
+            PlotSpec(width, 100, series)
 
     def test_series_length_validation(self):
         with pytest.raises(ValueError):

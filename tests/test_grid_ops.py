@@ -14,7 +14,7 @@ from lapden import (
     solve_banded,
     laplacian_2d,
 )
-from lapden.grid_ops import build_lagged_1d
+from lapden.grid_ops import build_lagged_1d, laplacian_2d_values
 
 
 def banded_to_dense(ab: np.ndarray) -> np.ndarray:
@@ -252,6 +252,10 @@ class TestLaplacian2D:
     def test_degenerate_grid(self):
         with pytest.raises(ValueError):
             laplacian_2d(Field2D(np.ones((2, 5))), Stencil2DKind.NEUMANN_MIRROR)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown stencil kind: 'mirror'"):
+            laplacian_2d_values(np.ones((3, 3)), 1.0, "mirror")
 
     @pytest.mark.parametrize("kind", list(Stencil2DKind))
     def test_bit_identical_to_np_pad_formula(self, kind):

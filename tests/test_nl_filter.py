@@ -929,9 +929,15 @@ class TestNewtonSweep:
 
 
 class TestFilterParamsValidation:
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
-            FilterParams(epsilon=0.0)
+    @pytest.mark.parametrize("name, value, message", [
+        ("epsilon", 0.0, "epsilon must be > 0"),
+        ("lam", -1.0, "lambda must be >= 0"),
+        ("dt", 0.0, "dt must be positive"),
+        ("tol", 0.0, "tol must be > 0"),
+    ], ids=["epsilon", "lam", "dt", "tol"])
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            FilterParams(**{name: value})
 
     @pytest.mark.parametrize("name", ["lam", "epsilon", "p", "dt", "tol",
                                       "target_delta"])

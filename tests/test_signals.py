@@ -97,6 +97,14 @@ class TestGaussianNoise:
         spec = NoiseSpec(seed=5, delta_rel=0)
         assert np.array_equal(gaussian_noise(9, spec), gaussian_noise(10, spec)[:9])
 
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            gaussian_noise(0, NoiseSpec(seed=5, delta_rel=0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned"):
+            NoiseSpec(seed=-1, delta_rel=0)
+
 
 class TestAddNoise:
     def test_zero_delta_unchanged(self):
@@ -170,6 +178,10 @@ class TestComputeMetrics:
         m = compute_metrics(u, ref, tau=0.01)
         assert m.psnr_db == pytest.approx(20.0, abs=1e-9)  # range 1, rmse 0.1
 
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ValueError, match="reference has zero norm"):
+            compute_metrics(Signal1D(np.ones(10)), Signal1D(np.zeros(10)), 0.1)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics(Signal1D(np.ones(5)), Signal1D(np.ones(6)), tau=0.1)
@@ -215,6 +227,17 @@ class TestSampleContainers:
         # b - a is nan for each of these, which no length comparison rejects
         with pytest.raises(ValueError, match="domain ends must be finite"):
             Signal1D(np.ones(3), domain=domain)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Signal1D(np.ones((2, 3))), "expected a 1-dimensional array"),
+        (lambda: Signal1D(np.ones(1)), "at least 2 samples"),
+        (lambda: Signal1D(np.ones(3), domain=(0.0, 5.0)),
+         "inconsistent with 3 samples"),
+        (lambda: Field2D(np.ones((0, 3))), "must not be empty"),
+    ], ids=["2d-signal", "one-sample", "bad-domain", "empty-field"])
+    def test_malformed_container_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_infinite_spacing_rejected(self):
         with pytest.raises(ValueError, match="grid spacing"):

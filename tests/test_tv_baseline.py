@@ -284,6 +284,10 @@ class TestTvDenoise1D:
         assert trace.converged
         assert trace.iters_run == 1
 
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 samples, got 2"):
+            tv_denoise_1d(Signal1D(np.ones(2)), TvParams())
+
     def test_noisy_sine_improves(self):
         clean = sample_f_sine(100)
         noisy = add_noise(clean, NoiseSpec(seed=42, delta_rel=0.09))
@@ -365,9 +369,14 @@ class TestTvDenoise2D:
 
 
 class TestTvParamsValidation:
-    def test_beta_positive(self):
-        with pytest.raises(ValueError):
-            TvParams(beta=0.0)
+    @pytest.mark.parametrize("name, value, message", [
+        ("beta", 0.0, "beta must be > 0"),
+        ("lam", -1.0, "lambda must be >= 0"),
+        ("tol", 0.0, "tol must be > 0"),
+    ], ids=["beta", "lam", "tol"])
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            TvParams(**{name: value})
 
     @pytest.mark.parametrize("name", ["lam", "beta", "tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
